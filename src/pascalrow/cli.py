@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from . import bignat, oracle, rowgen, verify_bench
+from . import bignat, rowgen, verify_bench
 from .row import Method
 
 THRESHOLD_ENV_VAR = "PASCAL_KARATSUBA_THRESHOLD"
@@ -129,7 +129,7 @@ def _apply_threshold(flag_value: int | None) -> None:
 
 
 def _cmd_row(args) -> int:
-    row = _generate(args.method, args.n)
+    row = rowgen.generate_row(_METHOD_FLAGS[args.method], args.n)
     if args.format == "plain":
         print(" ".join(str(c) for c in row.coefficients))
     elif args.format == "csv":
@@ -147,15 +147,6 @@ def _cmd_row(args) -> int:
             )
         )
     return 0
-
-
-def _generate(method_flag: str, n: int):
-    method = _METHOD_FLAGS[method_flag]
-    if method is Method.POWER_PARTITION:
-        return rowgen.row_via_power(n)
-    if method is Method.MULTIPLICATIVE:
-        return oracle.row_multiplicative(n)
-    return oracle.row_recurrence(n)
 
 
 def _cmd_power(args) -> int:

@@ -82,31 +82,23 @@ def power_integer(n: int) -> BigNat:
 def partition_blocks(x: BigNat, width: int, expected: int) -> list[BigNat]:
     """Slice x into `expected` blocks of `width` digits, rightmost first.
 
-    Splits at the middle block boundary and recurses, so the number is
-    copied log(expected) times rather than once per block.
+    Renders x in decimal once and cuts the text from its right end; blocks
+    above the leading digit come out as zero.
     """
     if width < 1:
         raise ValueError(f"block width must be >= 1, got {width}")
     if expected < 1:
         raise ValueError(f"block count must be >= 1, got {expected}")
-    digits = x.digit_count()
-    if digits > expected * width:
+    text = x.to_decimal()
+    if len(text) > expected * width:
         raise ValueError(
-            f"{digits} digits do not fit {expected} blocks of width {width}"
+            f"{len(text)} digits do not fit {expected} blocks of width {width}"
         )
-    blocks: list[BigNat] = []
-    _split_into_blocks(x, width, expected, blocks)
-    return blocks
-
-
-def _split_into_blocks(x: BigNat, width: int, count: int, out: list[BigNat]) -> None:
-    if count == 1:
-        out.append(x)
-        return
-    half = count // 2
-    high, low = x.split_pow10(half * width)
-    _split_into_blocks(low, width, half, out)
-    _split_into_blocks(high, width, count - half, out)
+    stops = range(len(text), len(text) - expected * width, -width)
+    return [
+        BigNat.from_decimal(text[max(0, stop - width) : max(0, stop)] or "0")
+        for stop in stops
+    ]
 
 
 def row_via_power(n: int) -> Row:
@@ -118,61 +110,104 @@ def row_via_power(n: int) -> Row:
     )
 
 
+def generate_row(method: Method, n: int) -> Row:
+    """Row n by the given method: the power partition or one of the oracles."""
+    if method is Method.POWER_PARTITION:
+        return row_via_power(n)
+    if method is Method.MULTIPLICATIVE:
+        return oracle.row_multiplicative(n)
+    return oracle.row_recurrence(n)
+
+
+@dataclass(frozen=True)
+class Residue:
+    """The r lowest digit blocks of row n's power beside the sum they must equal.
+
+    `remainder` is the power modulo 10**(r * width), cut off by digit split;
+    `truncated_sum` is sum(C(n, i) * 10**(i * width) for i < r), assembled
+    independently from oracle coefficients. The residue identity, the
+    leading block and the no-carry bound are all read off these two.
+    """
+
+    n: int
+    r: int
+    width: int
+    remainder: BigNat
+    truncated_sum: BigNat
+
+    @property
+    def leading_block(self) -> BigNat:
+        """Top block of the sum; equals C(n, r-1) by the no-carry bound."""
+        return self.truncated_sum.split_pow10((self.r - 1) * self.width)[0]
+
+    @property
+    def within_bound(self) -> bool:
+        """Lemma 1: the sum stays strictly below 10**(r * width).
+
+        Judged on the oracle-built sum, not on the remainder (which is below
+        the modulus by construction), so a broken width reports false.
+        """
+        return self.truncated_sum.digit_count() <= self.r * self.width
+
+    def checked(self) -> "Residue":
+        """Self, or ResidueMismatchError if the remainder differs from the sum."""
+        if self.remainder != self.truncated_sum:
+            raise ResidueMismatchError(
+                n=self.n,
+                r=self.r,
+                expected=str(self.truncated_sum),
+                actual=str(self.remainder),
+            )
+        return self
+
+
+def residue(n: int, r: int) -> Residue:
+    """Both sides of the r-block residue identity for row n, each built once."""
+    width = theta(n).block_width
+    if not 1 <= r <= n + 1:
+        raise ValueError(f"block count r={r} outside 1..{n + 1} for row {n}")
+    _, remainder = power_integer(n).split_pow10(r * width)
+    return Residue(
+        n=n,
+        r=r,
+        width=width,
+        remainder=remainder,
+        truncated_sum=_truncated_power_sum(n, r),
+    )
+
+
 def residue_partial_sum(n: int, r: int) -> BigNat:
     """The r lowest digit blocks of the power, cross-checked both ways.
 
-    Computes the remainder of the power modulo 10**(r * (theta+1)) by digit
-    split, and independently the truncated binomial sum
-    sum(C(n, i) * 10**(i * (theta+1)) for i < r) from oracle coefficients.
-    The two must be identical; a mismatch raises ResidueMismatchError.
+    Raises ResidueMismatchError unless the power's remainder modulo
+    10**(r * (theta+1)) equals the truncated binomial sum.
     """
-    geometry = _validated_geometry(n, r)
-    _, remainder = power_integer(n).split_pow10(r * geometry.block_width)
-    expected = _truncated_power_sum(n, r)
-    if remainder != expected:
-        raise ResidueMismatchError(
-            n=n, r=r, expected=str(expected), actual=str(remainder)
-        )
-    return remainder
+    return residue(n, r).checked().remainder
 
 
 def leading_block_of_residue(n: int, r: int) -> BigNat:
     """Top block of the r-block residue; equals C(n, r-1) by the no-carry bound."""
-    geometry = _validated_geometry(n, r)
-    residue = residue_partial_sum(n, r)
-    quotient, _ = residue.split_pow10((r - 1) * geometry.block_width)
-    return quotient
+    return residue(n, r).checked().leading_block
 
 
 def lemma1_bound_check(n: int, r: int) -> bool:
     """True when the r lowest binomial terms sum strictly below 10**(r*(theta+1)).
 
     This is the no-carry condition that keeps the digit blocks disjoint.
-    Evaluated on the oracle-built sum, not on the split remainder (which is
-    below the modulus by construction), so a broken width actually reports
-    false instead of being masked by the splitter.
     """
-    geometry = _validated_geometry(n, r)
-    bound_digits = r * geometry.block_width
-    return _truncated_power_sum(n, r).digit_count() <= bound_digits
+    return residue(n, r).within_bound
 
 
 def clear_caches() -> None:
     """Drop memoized geometry, powers and oracle rows (used by benchmarks)."""
     theta.cache_clear()
     power_integer.cache_clear()
-    _oracle_row.cache_clear()
-
-
-def _validated_geometry(n: int, r: int) -> ThetaResult:
-    geometry = theta(n)
-    if not 1 <= r <= n + 1:
-        raise ValueError(f"block count r={r} outside 1..{n + 1} for row {n}")
-    return geometry
+    oracle_row.cache_clear()
 
 
 @lru_cache(maxsize=4)
-def _oracle_row(n: int) -> Row:
+def oracle_row(n: int) -> Row:
+    """The multiplicative oracle's row n, shared by every check on that row."""
     return oracle.row_multiplicative(n)
 
 
@@ -180,7 +215,7 @@ def _truncated_power_sum(n: int, r: int) -> BigNat:
     # sum(C(n, i) * 10**(i * width) for i in range(r)), assembled by adding
     # each shifted coefficient into a limb accumulator at its digit offset.
     width = theta(n).block_width
-    coefficients = _oracle_row(n).coefficients
+    coefficients = oracle_row(n).coefficients
     acc = [0] * (r * width // RADIX_DIGITS + 2)
     for i in range(r):
         offset_limbs, offset_digits = divmod(i * width, RADIX_DIGITS)

@@ -16,6 +16,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from os import PathLike
 from pathlib import Path
 from typing import IO, Sequence
@@ -38,8 +39,6 @@ CHECK_NAMES = (
 
 #: Fixed benchmark CSV header.
 BENCH_CSV_HEADER = "method,n,theta,result_digits,big_mul_count,median_wall_time_ns"
-
-_R_CHECKS = {"residue_identity", "leading_block", "lemma1_bound"}
 
 
 @dataclass(frozen=True)
@@ -116,52 +115,35 @@ def verify_range(
         residue_samples=residue_samples,
         checks=selected,
     )
-    wants = set(selected)
-    need_power_row = wants & {"row_equality", "symmetry", "row_sum"}
-    need_oracle_row = wants & {"row_equality", "weighted_sum_11"}
-
+    row_checks = [name for name in selected if name in _ROW_CHECKS]
+    block_checks = [name for name in selected if name in _BLOCK_CHECKS]
     additive_rows = None
-    if "row_equality" in wants:
+    if "row_equality" in selected:
         additive_rows = oracle.iter_recurrence_rows()
         for _ in range(n_from):  # advance to the start of the range
             next(additive_rows)
 
     for n in range(n_from, n_to + 1):
-        geometry = rowgen.theta(n)
-        checks_out: dict[str, bool] = {}
-        failures: list[CheckFailure] = []
-        row_power = rowgen.row_via_power(n) if need_power_row else None
-        row_oracle = oracle.row_multiplicative(n) if need_oracle_row else None
-
-        if "row_equality" in wants:
-            row_additive = next(additive_rows)
-            checks_out["row_equality"] = _check_row_equality(
-                n, row_power, row_oracle, row_additive, failures
-            )
-        if "digit_length" in wants:
-            checks_out["digit_length"] = _check_digit_length(n, geometry, failures)
-        if wants & _R_CHECKS:
-            r_values = _sample_r_values(n, residue_samples, seed)
-            if "residue_identity" in wants:
-                checks_out["residue_identity"] = _check_residues(n, r_values, failures)
-            if "leading_block" in wants:
-                checks_out["leading_block"] = _check_leading_blocks(
-                    n, r_values, failures
-                )
-            if "lemma1_bound" in wants:
-                checks_out["lemma1_bound"] = _check_lemma1(
-                    n, geometry, r_values, failures
-                )
-        if "symmetry" in wants:
-            checks_out["symmetry"] = _check_symmetry(row_power, failures)
-        if "row_sum" in wants:
-            checks_out["row_sum"] = _check_row_sum(row_power, failures)
-        if "weighted_sum_11" in wants:
-            checks_out["weighted_sum_11"] = _check_weighted_sum(row_oracle, failures)
-
+        facts = _RowFacts(n, next(additive_rows) if additive_rows else None)
+        found: dict[str, list] = {name: [] for name in selected}
+        for name in row_checks:
+            found[name] += _ROW_CHECKS[name](facts)
+        if block_checks:
+            # One residue per (n, r), dropped before the next r is built.
+            for r in _sample_r_values(n, residue_samples, seed):
+                residue = rowgen.residue(n, r)
+                for name in block_checks:
+                    found[name] += _BLOCK_CHECKS[name](facts, residue)
         report.results.append(
             RowVerification(
-                n=n, theta=geometry.theta, checks=checks_out, failures=failures
+                n=n,
+                theta=facts.geometry.theta,
+                checks={name: not found[name] for name in selected},
+                failures=[
+                    CheckFailure(check=name, n=n, r=r, expected=expected, actual=actual)
+                    for name in selected
+                    for r, expected, actual in found[name]
+                ],
             )
         )
     return report
@@ -199,7 +181,7 @@ def bench_methods(
                 rowgen.clear_caches()
                 bignat.reset_mul_counter()
                 started = time.perf_counter_ns()
-                row = _generate_row(method, n)
+                row = rowgen.generate_row(method, n)
                 times.append(time.perf_counter_ns() - started)
                 mul_counts.add(bignat.mul_counter())
             if len(mul_counts) != 1:
@@ -260,6 +242,8 @@ def emit_report(
 def _validated_checks(checks: Sequence[str] | None) -> tuple[str, ...]:
     if checks is None:
         return CHECK_NAMES
+    if not checks:
+        raise ValueError(f"no checks selected; choose from {CHECK_NAMES}")
     unknown = set(checks) - set(CHECK_NAMES)
     if unknown:
         raise ValueError(
@@ -278,178 +262,110 @@ def _sample_r_values(n: int, residue_samples: int, seed: int) -> list[int]:
     return sorted(values)
 
 
-def _check_row_equality(n, row_power, row_oracle, row_additive, failures) -> bool:
-    ok = True
+class _RowFacts:
+    """What the checks read about row n; each fact is built on first use, once."""
+
+    def __init__(self, n: int, additive_row: Row | None):
+        self.n = n
+        self.geometry = rowgen.theta(n)
+        self.additive_row = additive_row
+
+    @cached_property
+    def power_row(self) -> Row:
+        return rowgen.row_via_power(self.n)
+
+    @cached_property
+    def oracle_row(self) -> Row:
+        return rowgen.oracle_row(self.n)
+
+
+# Each check yields (r, expected, actual) per failing case and nothing when
+# it passes; r is None for checks without a block index. Block checks also
+# take the residue of one block count r.
+
+
+def _row_equality(facts):
+    got = facts.power_row.coefficients
     for label, other in (
-        ("multiplicative", row_oracle),
-        ("recurrence", row_additive),
+        ("multiplicative", facts.oracle_row),
+        ("recurrence", facts.additive_row),
     ):
-        if row_power.coefficients == other.coefficients:
-            continue
-        ok = False
-        for k, (got, want) in enumerate(
-            zip(row_power.coefficients, other.coefficients)
-        ):
-            if got != want:
-                failures.append(
-                    CheckFailure(
-                        check="row_equality",
-                        n=n,
-                        r=k,
-                        expected=f"{label}:{want}",
-                        actual=str(got),
-                    )
-                )
+        for k, (mine, want) in enumerate(zip(got, other.coefficients)):
+            if mine != want:
+                yield k, f"{label}:{want}", str(mine)
                 break
-    return ok
 
 
-def _check_digit_length(n, geometry, failures) -> bool:
-    expected = n * geometry.block_width + 1
-    actual = rowgen.power_integer(n).digit_count()
-    if actual == expected:
-        return True
-    failures.append(
-        CheckFailure(
-            check="digit_length", n=n, r=None, expected=str(expected), actual=str(actual)
+def _digit_length(facts):
+    expected = facts.n * facts.geometry.block_width + 1
+    actual = rowgen.power_integer(facts.n).digit_count()
+    if actual != expected:
+        yield None, str(expected), str(actual)
+
+
+def _residue_identity(facts, residue):
+    if residue.remainder != residue.truncated_sum:
+        yield residue.r, str(residue.truncated_sum), str(residue.remainder)
+
+
+def _leading_block(facts, residue):
+    if residue.remainder != residue.truncated_sum:
+        yield residue.r, str(residue.truncated_sum), str(residue.remainder)
+        return
+    got = residue.leading_block
+    want = facts.oracle_row.coefficients[residue.r - 1]
+    if got != want:
+        yield residue.r, str(want), str(got)
+
+
+def _lemma1_bound(facts, residue):
+    if not residue.within_bound:
+        yield (
+            residue.r,
+            f"at most {residue.r * residue.width} digits",
+            f"{residue.truncated_sum.digit_count()} digits",
         )
-    )
-    return False
 
 
-def _check_residues(n, r_values, failures) -> bool:
-    ok = True
-    for r in r_values:
-        try:
-            rowgen.residue_partial_sum(n, r)
-        except rowgen.ResidueMismatchError as exc:
-            ok = False
-            failures.append(
-                CheckFailure(
-                    check="residue_identity",
-                    n=n,
-                    r=r,
-                    expected=exc.expected,
-                    actual=exc.actual,
-                )
-            )
-    return ok
-
-
-def _check_leading_blocks(n, r_values, failures) -> bool:
-    ok = True
-    for r in r_values:
-        try:
-            got = rowgen.leading_block_of_residue(n, r)
-            want = oracle.binomial(n, r - 1)
-        except rowgen.ResidueMismatchError as exc:
-            ok = False
-            failures.append(
-                CheckFailure(
-                    check="leading_block",
-                    n=n,
-                    r=r,
-                    expected=exc.expected,
-                    actual=exc.actual,
-                )
-            )
-            continue
-        if got != want:
-            ok = False
-            failures.append(
-                CheckFailure(
-                    check="leading_block",
-                    n=n,
-                    r=r,
-                    expected=str(want),
-                    actual=str(got),
-                )
-            )
-    return ok
-
-
-def _check_lemma1(n, geometry, r_values, failures) -> bool:
-    ok = True
-    for r in r_values:
-        if rowgen.lemma1_bound_check(n, r):
-            continue
-        ok = False
-        bound_digits = r * geometry.block_width
-        failures.append(
-            CheckFailure(
-                check="lemma1_bound",
-                n=n,
-                r=r,
-                expected=f"at most {bound_digits} digits",
-                actual=f"{rowgen._truncated_power_sum(n, r).digit_count()} digits",
-            )
-        )
-    return ok
-
-
-def _check_symmetry(row_power, failures) -> bool:
-    coefficients = row_power.coefficients
-    n = row_power.n
+def _symmetry(facts):
+    coefficients = facts.power_row.coefficients
     for k in range(len(coefficients) // 2):
-        if coefficients[k] != coefficients[n - k]:
-            failures.append(
-                CheckFailure(
-                    check="symmetry",
-                    n=n,
-                    r=k,
-                    expected=str(coefficients[n - k]),
-                    actual=str(coefficients[k]),
-                )
-            )
-            return False
-    return True
+        if coefficients[k] != coefficients[facts.n - k]:
+            yield k, str(coefficients[facts.n - k]), str(coefficients[k])
+            return
 
 
-def _check_row_sum(row_power, failures) -> bool:
+def _row_sum(facts):
     total = BigNat(0)
-    for coefficient in row_power.coefficients:
+    for coefficient in facts.power_row.coefficients:
         total = total + coefficient
-    expected = BigNat(2).pow(row_power.n)
-    if total == expected:
-        return True
-    failures.append(
-        CheckFailure(
-            check="row_sum",
-            n=row_power.n,
-            r=None,
-            expected=str(expected),
-            actual=str(total),
-        )
-    )
-    return False
+    expected = BigNat(2).pow(facts.n)
+    if total != expected:
+        yield None, str(expected), str(total)
 
 
-def _check_weighted_sum(row_oracle, failures) -> bool:
+def _weighted_sum_11(facts):
     # Horner form of sum(C(n, k) * 10**k) regardless of block width.
     value = BigNat(0)
-    for coefficient in reversed(row_oracle.coefficients):
+    for coefficient in reversed(facts.oracle_row.coefficients):
         value = value.mul_small(10) + coefficient
-    expected = BigNat(11).pow(row_oracle.n)
-    if value == expected:
-        return True
-    failures.append(
-        CheckFailure(
-            check="weighted_sum_11",
-            n=row_oracle.n,
-            r=None,
-            expected=str(expected),
-            actual=str(value),
-        )
-    )
-    return False
+    expected = BigNat(11).pow(facts.n)
+    if value != expected:
+        yield None, str(expected), str(value)
 
 
-def _generate_row(method: Method, n: int) -> Row:
-    if method is Method.POWER_PARTITION:
-        return rowgen.row_via_power(n)
-    if method is Method.MULTIPLICATIVE:
-        return oracle.row_multiplicative(n)
-    return oracle.row_recurrence(n)
+_ROW_CHECKS = {
+    "row_equality": _row_equality,
+    "digit_length": _digit_length,
+    "symmetry": _symmetry,
+    "row_sum": _row_sum,
+    "weighted_sum_11": _weighted_sum_11,
+}
+_BLOCK_CHECKS = {
+    "residue_identity": _residue_identity,
+    "leading_block": _leading_block,
+    "lemma1_bound": _lemma1_bound,
+}
 
 
 def _result_digits(method: Method, row: Row) -> int:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings. Every tolerance here is exact (integer equality).
 """
 
+import hashlib
 import io
 import random
 import time
@@ -105,6 +106,14 @@ def test_criterion_5_full_range_sweep(full_sweep):
             == oracle.row_multiplicative(n).coefficients
             == oracle.row_recurrence(n).coefficients
         )
+    # The seeded reports are pinned byte for byte.
+    for fmt, digest in (
+        ("jsonl", "5ce6c6ce5bbe01d7f3f5db94ba1eb3c0"),
+        ("csv", "64e7f69cbd702c975fee9c648b50b927"),
+    ):
+        buffer = io.StringIO()
+        verify_bench.emit_report(report, fmt, buffer)
+        assert hashlib.md5(buffer.getvalue().encode()).hexdigest() == digest, fmt
     assert elapsed < 60.0
     _report(5, f"0..300 sweep (equality, digit law, residues, leading blocks, "
                f"bound) in {elapsed:.1f}s")

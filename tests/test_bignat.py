@@ -27,6 +27,17 @@ def string_add(a: str, b: str) -> str:
     return "".join(reversed(out)).lstrip("0") or "0"
 
 
+def limbs_to_int(limbs) -> int:
+    # Halving keeps the conversion subquadratic for operands of 40k limbs.
+    if len(limbs) <= 64:
+        value = 0
+        for limb in reversed(limbs):
+            value = value * bignat.RADIX + limb
+        return value
+    half = len(limbs) // 2
+    return limbs_to_int(limbs[half:]) * bignat.RADIX**half + limbs_to_int(limbs[:half])
+
+
 naturals = st.integers(min_value=0, max_value=10**300)
 machine_ints = st.integers(min_value=0, max_value=2**63 - 1)
 
@@ -83,6 +94,17 @@ class TestFormatting:
     def test_zero(self):
         assert BigNat(0).to_decimal() == "0"
 
+    @pytest.mark.parametrize(
+        "value",
+        [0, 7, bignat.RADIX - 1, bignat.RADIX, 5 * 10**21 + 3, 10**42 + 1],
+    )
+    def test_matches_int_rendering(self, value):
+        assert BigNat(value).to_decimal() == str(value)
+
+    def test_large_random_matches_int_rendering(self):
+        value = random.Random(31).randrange(10**5000)
+        assert BigNat(value).to_decimal() == str(value)
+
     def test_golden_powers(self):
         assert BigNat(11).pow(6).to_decimal() == "1771561"
         assert (
@@ -132,6 +154,38 @@ class TestMultiplication:
             expected = BigNat(a * b)
             assert mul_quadratic(BigNat(a), BigNat(b)) == expected
             assert mul_subquadratic(BigNat(a), BigNat(b)) == expected
+
+    @pytest.mark.parametrize(
+        "la,lb,all_nines",
+        [
+            (513, 513, False),
+            (700, 1500, False),
+            (1024, 1025, False),
+            (2049, 3000, False),
+            (5000, 5000, False),
+            (20000, 20000, False),
+            (513, 15390, False),
+            (600, 18000, False),
+            (513, 513, True),
+            (4096, 4096, True),
+            (600, 18000, True),
+        ],
+    )
+    def test_subquadratic_large_operands_against_int(self, la, lb, all_nines):
+        # Above 512 limbs the Karatsuba recursion runs; all-nine limbs give
+        # the largest column sums, and 1:30 shapes recurse on unequal halves.
+        rng = random.Random(la * 100_003 + lb)
+
+        def operand(length):
+            if all_nines:
+                return [bignat.RADIX - 1] * length
+            return [rng.randrange(bignat.RADIX) for _ in range(length - 1)] + [
+                rng.randrange(1, bignat.RADIX)
+            ]
+
+        a, b = operand(la), operand(lb)
+        product = mul_subquadratic(BigNat.from_limbs(a), BigNat.from_limbs(b))
+        assert limbs_to_int(product.limbs) == limbs_to_int(a) * limbs_to_int(b)
 
     def test_counter_counts_products(self):
         bignat.reset_mul_counter()

@@ -105,7 +105,9 @@ class TestVerifyCommand:
         assert lines[1:] == ["9,2,true,true", "10,2,true,true"]
 
     def test_failure_exit_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(rowgen, "lemma1_bound_check", lambda n, r: False)
+        monkeypatch.setattr(
+            rowgen.Residue, "within_bound", property(lambda self: False)
+        )
         code, out, err = run(capsys, "verify", "--from", "3", "--to", "3")
         assert code == 1
         assert "FAIL" in err
@@ -116,6 +118,14 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--from", "0", "--to", "1", "--checks", "nope")
         assert code == 2
         assert "unknown check" in err
+
+    def test_empty_check_list_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--from", "0", "--to", "2", "--checks", ","
+        )
+        assert code == 2
+        assert out == ""
+        assert "no checks" in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "verify.jsonl"

@@ -32,6 +32,13 @@ class TestTheta:
             rowgen.theta(-1)
 
 
+    def test_math_comb_oracle(self):
+        # math.comb shares nothing with oracle.binomial, from which theta is built.
+        rng = random.Random(314)
+        for n in [0, 1, 2, 9, 10, 16, 51, *rng.sample(range(52, 400), 6)]:
+            assert rowgen.theta(n).theta == len(str(comb(n, n // 2))) - 1
+
+
 class TestElevenVariant:
     @pytest.mark.parametrize(
         "theta_value,expected",
@@ -131,6 +138,14 @@ class TestRowViaPower:
         assert row.coefficients[26].to_int() == 247959266474052
         assert row == oracle.row_multiplicative(51)
 
+    def test_matches_math_comb(self):
+        rng = random.Random(2718)
+        for n in [0, 1, 9, 16, 51, *rng.sample(range(52, 400), 6)]:
+            row = rowgen.row_via_power(n)
+            assert [c.to_int() for c in row.coefficients] == [
+                comb(n, k) for k in range(n + 1)
+            ]
+
     def test_blocks_stay_below_width_bound(self):
         for n in (0, 5, 9, 33, 80):
             geometry = rowgen.theta(n)
@@ -169,7 +184,7 @@ class TestResiduePartialSum:
         coefficients[1] = BigNat(8)
         monkeypatch.setattr(
             rowgen,
-            "_oracle_row",
+            "oracle_row",
             lambda n: type(broken)(n=9, coefficients=tuple(coefficients), method=broken.method),
         )
         with pytest.raises(rowgen.ResidueMismatchError) as excinfo:

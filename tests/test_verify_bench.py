@@ -2,6 +2,7 @@
 
 import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -35,6 +36,35 @@ class TestVerifyRange:
         assert report.checks == ("symmetry", "row_sum")
         assert all(set(r.checks) == {"symmetry", "row_sum"} for r in report.results)
 
+    def test_empty_check_list_rejected(self):
+        with pytest.raises(ValueError, match="no checks"):
+            verify_range(0, 2, checks=[])
+
+    def test_each_fact_built_once_per_row_and_block_count(self, monkeypatch):
+        rowgen.clear_caches()
+        calls = Counter()
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(rowgen, "_truncated_power_sum")
+        counted(oracle, "row_multiplicative")
+        counted(oracle, "binomial")
+        verify_range(0, 40, residue_samples=5, seed=0)
+        # 233 distinct (n, r) pairs over rows 0..40, one oracle row and one
+        # central coefficient (for theta) per row.
+        assert calls == {
+            "_truncated_power_sum": 233,
+            "row_multiplicative": 41,
+            "binomial": 41,
+        }
+
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError, match="unknown check"):
             verify_range(0, 1, checks=["row_equality", "bogus"])
@@ -55,7 +85,9 @@ class TestVerifyRange:
         assert first.getvalue() == second.getvalue()
 
     def test_failure_recorded_as_data(self, monkeypatch):
-        monkeypatch.setattr(rowgen, "lemma1_bound_check", lambda n, r: False)
+        monkeypatch.setattr(
+            rowgen.Residue, "within_bound", property(lambda self: False)
+        )
         report = verify_range(5, 6, residue_samples=1)
         assert not report.passed
         for result in report.results:
@@ -66,9 +98,9 @@ class TestVerifyRange:
     def test_failure_detail_is_reproducible(self, monkeypatch):
         # Return the wrong neighbouring coefficient so only r >= 2 misses.
         monkeypatch.setattr(
-            rowgen,
-            "leading_block_of_residue",
-            lambda n, r: oracle.binomial(n, max(0, r - 2)),
+            rowgen.Residue,
+            "leading_block",
+            property(lambda self: oracle.binomial(self.n, max(0, self.r - 2))),
         )
         report = verify_range(7, 7, residue_samples=1, seed=3)
         result = report.results[0]
