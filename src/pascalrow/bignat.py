@@ -8,13 +8,34 @@ instead of a division loop, which is the hot operation downstream.
 Multiplication has two paths that must agree bit-exactly:
 
 * a plain schoolbook loop in Python (the quadratic path), used below the
-  Karatsuba threshold;
+  Karatsuba threshold; the shorter factor runs the outer loop, so the
+  zero limbs of a sparse factor such as ``10**w + 1`` cost nothing;
 * Karatsuba recursion over numpy int64 arrays whose base case is a single
-  integer convolution (the subquadratic path).
+  integer convolution (the subquadratic path). When both factors are the
+  same limb tuple (``x * x``, most of the products in ``pow``) one array
+  and one operand sum per node serve both factors; the convolutions are
+  the same as for a general product.
 
-The radix is chosen so that convolution column sums stay far below the
-int64 limit: a base case of ``min(len(a), len(b)) <= 2048`` limbs peaks at
-``2048 * (10**7 - 1)**2 < 2.1e17``, more than 40x inside ``2**63``.
+``pow`` is left-to-right binary powering: starting from the base, each
+remaining exponent bit squares the result and, for a set bit, multiplies
+it by the base. That is ``bit_length - 1`` squarings and ``popcount - 1``
+products, each of the latter with the small base as one factor.
+
+Carries in the Karatsuba recursion are lazy. Each node returns column
+sums brought back near limb range by one vectorised carry step (a floor
+``divmod`` by the radix, the quotients added one limb up), so limbs may
+be signed or slightly above the radix; the middle term ``zm - z0 - z2``
+is formed on columns. The int64 bound: an operand sum ``a0 + a1`` of
+limbs in ``[0, RADIX + 1]`` is at most ``2 * RADIX + 2`` before its carry
+step and back in ``[0, RADIX + 1]`` after it, so every base-case input
+lies in that range and a convolution column of at most 512 limbs is below
+``512 * (RADIX + 1)**2 < 5.2e16 < 2**63``. A carried base case has limbs
+below ``RADIX + 5.2e9``, and a node adds at most five child limbs per
+column, so no column above the base case exceeds ``3e10``. One final
+normalisation runs at the top: two carry steps, then a Python pass that
+ripples from the first limb still outside ``[0, RADIX)`` (most products
+have none). That pass is linear, so long runs of ``9999999`` limbs cost
+one sweep, not one numpy pass per limb of ripple.
 """
 
 from __future__ import annotations
@@ -31,7 +52,7 @@ RADIX_DIGITS = 7
 DEFAULT_KARATSUBA_THRESHOLD = 32
 
 # Base case size for the Karatsuba recursion, in limbs. Must stay small
-# enough that a convolution column sum min(la, lb) * (RADIX-1)^2 fits int64.
+# enough that a convolution column sum min(la, lb) * (RADIX+1)^2 fits int64.
 _CONV_BASE_LIMBS = 512
 
 _karatsuba_threshold = DEFAULT_KARATSUBA_THRESHOLD
@@ -261,21 +282,19 @@ class BigNat:
         return BigNat._raw(_trimmed(out)), rem
 
     def pow(self, exponent: int) -> "BigNat":
-        """Exact power by repeated squaring; 0**0 is defined as 1."""
+        """Exact power by left-to-right binary powering; 0**0 is defined as 1."""
         if exponent < 0:
             raise ValueError(f"exponent must be >= 0, got {exponent}")
         if exponent == 0:
             return _ONE
-        result = None
-        base = self
-        e = exponent
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        # Left to right: every product by the base has the small base as
+        # one factor.
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
+        return result
 
     def __pow__(self, exponent: int) -> "BigNat":
         return self.pow(exponent)
@@ -346,7 +365,11 @@ def _trimmed(limbs) -> tuple:
 
 def _mul_quadratic_limbs(a: tuple, b: tuple) -> tuple:
     # Schoolbook with whole-column accumulation and a single carry pass;
-    # Python ints absorb the oversized column sums.
+    # Python ints absorb the oversized column sums. The shorter factor runs
+    # the outer loop, so the zero limbs of a sparse factor such as
+    # 10**w + 1 are skipped whole.
+    if len(a) > len(b):
+        a, b = b, a
     acc = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -364,27 +387,77 @@ def _mul_quadratic_limbs(a: tuple, b: tuple) -> tuple:
 
 
 def _mul_subquadratic_limbs(a: tuple, b: tuple) -> tuple:
-    arr = _kara(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-    return tuple(arr.tolist())
+    # Karatsuba, then canonical limbs from the lazily carried columns. A
+    # carried base case can hold limbs up to RADIX + 5.2e9; the first step
+    # brings them below RADIX + 520 and the second leaves carries of at
+    # most one, so the Python pass that ripples from the first limb still
+    # outside [0, RADIX) rarely has anything to do. The operand arrays are
+    # dropped before the columns become a list, and the columns before the
+    # list becomes a tuple: those copies are the memory peak of a product.
+    x = np.array(a, dtype=np.int64)
+    columns = _kara(x, x if a is b else np.array(b, dtype=np.int64))
+    del x
+    for _ in range(2):
+        columns = _carry(columns)
+    limbs = columns.tolist()
+    stray = np.flatnonzero((columns < 0) | (columns >= RADIX))
+    del columns
+    if stray.size:
+        carry = 0
+        for i in range(int(stray[0]), len(limbs)):
+            carry, limbs[i] = divmod(limbs[i] + carry, RADIX)
+        while carry:
+            carry, low = divmod(carry, RADIX)
+            limbs.append(low)
+    return _trimmed(limbs)
 
 
 def _kara(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Lazily carried column sums of a * b. For a square (a is b) one
+    # operand sum serves both factors.
     la, lb = a.shape[0], b.shape[0]
     if la == 0 or lb == 0:
         return np.zeros(0, dtype=np.int64)
     if min(la, lb) <= _CONV_BASE_LIMBS:
-        return _trim(_carry_sweep(np.convolve(a, b)))
+        return _carry(np.convolve(a, b))
     half = min(la, lb) >> 1
     a0, a1 = _trim(a[:half]), a[half:]
-    b0, b1 = _trim(b[:half]), b[half:]
+    b0, b1 = (a0, a1) if a is b else (_trim(b[:half]), b[half:])
     z0 = _kara(a0, b0)
+    sum_a = _add(a0, a1)
+    zm = _kara(sum_a, sum_a if a is b else _add(b0, b1))
     z2 = _kara(a1, b1)
-    z1 = _vec_sub(_kara(_vec_add(a0, a1), _vec_add(b0, b1)), _vec_add(z0, z2))
-    out = np.zeros(la + lb, dtype=np.int64)
-    out[: z0.shape[0]] = z0
-    out[half : half + z1.shape[0]] += z1
-    out[2 * half : 2 * half + z2.shape[0]] += z2
-    return _trim(_carry_sweep(out))
+    # z0 + (zm - z0 - z2) * R**half + z2 * R**(2*half), column by column;
+    # no column takes more than five child limbs.
+    l0, lm, l2 = z0.shape[0], zm.shape[0], z2.shape[0]
+    out = np.zeros(max(l0, half + lm, 2 * half + l2), dtype=np.int64)
+    out[:l0] = z0
+    out[half : half + lm] += zm
+    out[half : half + l0] -= z0
+    out[half : half + l2] -= z2
+    out[2 * half : 2 * half + l2] += z2
+    return _carry(out)
+
+
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.shape[0] < b.shape[0]:
+        a, b = b, a
+    out = a.copy()
+    out[: b.shape[0]] += b
+    return _carry(out)
+
+
+def _carry(columns: np.ndarray) -> np.ndarray:
+    # One vectorised carry step: keep each column's floor residue and add
+    # its quotient one limb up. The value is unchanged; limbs come back to
+    # [0, RADIX) plus the (possibly negative) quotient from below.
+    n = columns.shape[0]
+    out = np.empty(n + 1, dtype=np.int64)
+    high = np.empty(n, dtype=np.int64)
+    np.divmod(columns, RADIX, out=(high, out[:n]))
+    out[n] = 0
+    out[1:] += high
+    return _trim(out)
 
 
 def _trim(a: np.ndarray) -> np.ndarray:
@@ -392,37 +465,6 @@ def _trim(a: np.ndarray) -> np.ndarray:
     while n and not a[n - 1]:
         n -= 1
     return a[:n]
-
-
-def _carry_sweep(acc: np.ndarray) -> np.ndarray:
-    # Reduce oversized column sums to limb range; convolution output needs
-    # one or two passes, pathological ripple just loops a little longer.
-    while True:
-        carry = acc // RADIX
-        if not carry.any():
-            return acc
-        acc = np.concatenate([acc - carry * RADIX, np.zeros(1, dtype=np.int64)])
-        acc[1:] += carry
-
-
-def _vec_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[0] < b.shape[0]:
-        a, b = b, a
-    out = np.concatenate([a, np.zeros(1, dtype=np.int64)])
-    out[: b.shape[0]] += b
-    return _trim(_carry_sweep(out))
-
-
-def _vec_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Requires a >= b, which Karatsuba guarantees for its middle term.
-    out = a.copy()
-    out[: b.shape[0]] -= b
-    while True:
-        negative = out < 0
-        if not negative.any():
-            return _trim(out)
-        out[negative] += RADIX
-        out[np.nonzero(negative)[0] + 1] -= 1
 
 
 _ZERO = BigNat(0)

@@ -171,6 +171,20 @@ def test_criterion_8_benchmark_report():
     assert lines[0] == verify_bench.BENCH_CSV_HEADER
     assert len(lines) == 31
     assert all(len(line.split(",")) == 6 for line in lines[1:])
+    # Exact operation counts, in CSV order (power, multiplicative, recurrence
+    # per n): the powering order may change, the number of products may not.
+    assert [r.big_mul_count for r in records] == [
+        58, 100, 0,
+        109, 200, 0,
+        161, 300, 0,
+        210, 400, 0,
+        263, 500, 0,
+        312, 600, 0,
+        364, 700, 0,
+        411, 800, 0,
+        462, 900, 0,
+        514, 1000, 0,
+    ]
 
     # bench_methods raises on cross-method disagreement, so reaching here
     # means rows agreed; the additive method should also grow monotonically.

@@ -168,12 +168,16 @@ class TestMultiplication:
             (600, 18000, False),
             (513, 513, True),
             (4096, 4096, True),
+            (20000, 20000, True),
             (600, 18000, True),
+            (2, 3000, True),
         ],
     )
     def test_subquadratic_large_operands_against_int(self, la, lb, all_nines):
         # Above 512 limbs the Karatsuba recursion runs; all-nine limbs give
-        # the largest column sums, and 1:30 shapes recurse on unequal halves.
+        # the largest column sums and the longest carry ripples, and 1:30
+        # shapes recurse on unequal halves. Each factor is also squared,
+        # the product that powering makes most.
         rng = random.Random(la * 100_003 + lb)
 
         def operand(length):
@@ -184,8 +188,12 @@ class TestMultiplication:
             ]
 
         a, b = operand(la), operand(lb)
-        product = mul_subquadratic(BigNat.from_limbs(a), BigNat.from_limbs(b))
+        x, y = BigNat.from_limbs(a), BigNat.from_limbs(b)
+        product = mul_subquadratic(x, y)
         assert limbs_to_int(product.limbs) == limbs_to_int(a) * limbs_to_int(b)
+        for factor, limbs in ((x, a), (y, b)):
+            square = mul_subquadratic(factor, factor)
+            assert limbs_to_int(square.limbs) == limbs_to_int(limbs) ** 2
 
     def test_counter_counts_products(self):
         bignat.reset_mul_counter()
@@ -215,11 +223,30 @@ class TestPower:
         with pytest.raises(ValueError):
             BigNat(2).pow(-1)
 
-    @pytest.mark.parametrize("exponent", [1, 2, 3, 9, 16, 51, 300, 1000])
-    def test_multiplication_count_bound(self, exponent):
+    @pytest.mark.parametrize("exponent", [1, 2, 3, 9, 16, 51, 300, 1000, 1810])
+    def test_multiplication_count_bound(self, exponent, monkeypatch):
+        # Left-to-right powering does exactly bit_length - 1 squarings and
+        # popcount - 1 products with the base, and no other full product;
+        # both limb-level seams are wrapped, so every product is seen.
+        base = BigNat(1001)
+        products = []
+        for seam in ("_mul_quadratic_limbs", "_mul_subquadratic_limbs"):
+            kernel = getattr(bignat, seam)
+
+            def recorded(a, b, kernel=kernel):
+                products.append((a, b))
+                return kernel(a, b)
+
+            monkeypatch.setattr(bignat, seam, recorded)
         bignat.reset_mul_counter()
-        BigNat(1001).pow(exponent)
-        assert bignat.mul_counter() <= 2 * (exponent.bit_length() - 1) + 1
+        power = base.pow(exponent)
+
+        assert power == BigNat(1001**exponent)
+        squarings = sum(a is b for a, b in products)
+        by_base = sum(a is not b and base.limbs in (a, b) for a, b in products)
+        assert squarings == exponent.bit_length() - 1
+        assert by_base == bin(exponent).count("1") - 1
+        assert len(products) == squarings + by_base == bignat.mul_counter()
 
 
 class TestSplitPow10:
