@@ -4,6 +4,13 @@ Values are immutable tuples of base-10**7 limbs, least significant limb
 first, with no leading zero limbs (zero is the empty tuple). Keeping the
 radix a power of ten makes splitting at a power of ten a digit slice
 instead of a division loop, which is the hot operation downstream.
+``from_blocks`` is the inverse of cutting a number into fixed-width digit
+blocks: it lays the blocks at their digit offsets and adds them, carries
+included, so callers work in digits and blocks and never in limbs.
+
+Column sums become limbs in one place: a single exact carry pass over
+Python-int columns. It finishes the schoolbook product, ``from_blocks``
+and the top-level normalisation of the Karatsuba product.
 
 Multiplication has two paths that must agree bit-exactly:
 
@@ -32,8 +39,8 @@ lies in that range and a convolution column of at most 512 limbs is below
 ``512 * (RADIX + 1)**2 < 5.2e16 < 2**63``. A carried base case has limbs
 below ``RADIX + 5.2e9``, and a node adds at most five child limbs per
 column, so no column above the base case exceeds ``3e10``. One final
-normalisation runs at the top: two carry steps, then a Python pass that
-ripples from the first limb still outside ``[0, RADIX)`` (most products
+normalisation runs at the top: two carry steps, then the carry pass,
+started at the first limb still outside ``[0, RADIX)`` (most products
 have none). That pass is linear, so long runs of ``9999999`` limbs cost
 one sweep, not one numpy pass per limb of ripple.
 """
@@ -116,6 +123,27 @@ class BigNat:
             if not 0 <= limb < RADIX:
                 raise ValueError(f"limb {limb} out of range for radix {RADIX}")
         return cls._raw(_trimmed(limbs))
+
+    @classmethod
+    def from_blocks(cls, blocks: Iterable["BigNat"], width: int) -> "BigNat":
+        """sum(block * 10**(i * width)), blocks rightmost first.
+
+        The inverse of cutting a number into `width`-digit blocks. Exact for
+        blocks of any size: a block wider than `width` carries into the
+        blocks above it.
+        """
+        if width < 1:
+            raise ValueError(f"block width must be >= 1, got {width}")
+        columns = []
+        for i, block in enumerate(blocks):
+            whole, part = divmod(i * width, RADIX_DIGITS)
+            scale = 10**part
+            limbs = block._limbs
+            if len(columns) < whole + len(limbs):
+                columns += [0] * (whole + len(limbs) - len(columns))
+            for j, limb in enumerate(limbs, whole):
+                columns[j] += limb * scale
+        return cls._raw(_carried(columns))
 
     @classmethod
     def from_decimal(cls, text: str) -> "BigNat":
@@ -363,6 +391,19 @@ def _trimmed(limbs) -> tuple:
     return tuple(limbs[:n])
 
 
+def _carried(columns: list, start: int = 0) -> tuple:
+    # The one exact carry pass: turns Python-int column sums of any size or
+    # sign (the total must be non-negative) into canonical limbs, in place,
+    # from index `start` up; the columns below `start` must be limbs already.
+    carry = 0
+    for i in range(start, len(columns)):
+        carry, columns[i] = divmod(columns[i] + carry, RADIX)
+    while carry:
+        carry, low = divmod(carry, RADIX)
+        columns.append(low)
+    return _trimmed(columns)
+
+
 def _mul_quadratic_limbs(a: tuple, b: tuple) -> tuple:
     # Schoolbook with whole-column accumulation and a single carry pass;
     # Python ints absorb the oversized column sums. The shorter factor runs
@@ -375,23 +416,15 @@ def _mul_quadratic_limbs(a: tuple, b: tuple) -> tuple:
         if x:
             for j, y in enumerate(b):
                 acc[i + j] += x * y
-    out = []
-    carry = 0
-    for column in acc:
-        carry, low = divmod(column + carry, RADIX)
-        out.append(low)
-    while carry:
-        carry, low = divmod(carry, RADIX)
-        out.append(low)
-    return tuple(out)
+    return _carried(acc)
 
 
 def _mul_subquadratic_limbs(a: tuple, b: tuple) -> tuple:
     # Karatsuba, then canonical limbs from the lazily carried columns. A
     # carried base case can hold limbs up to RADIX + 5.2e9; the first step
     # brings them below RADIX + 520 and the second leaves carries of at
-    # most one, so the Python pass that ripples from the first limb still
-    # outside [0, RADIX) rarely has anything to do. The operand arrays are
+    # most one, so the carry pass from the first limb still outside
+    # [0, RADIX) rarely has anything to do. The operand arrays are
     # dropped before the columns become a list, and the columns before the
     # list becomes a tuple: those copies are the memory peak of a product.
     x = np.array(a, dtype=np.int64)
@@ -402,14 +435,7 @@ def _mul_subquadratic_limbs(a: tuple, b: tuple) -> tuple:
     limbs = columns.tolist()
     stray = np.flatnonzero((columns < 0) | (columns >= RADIX))
     del columns
-    if stray.size:
-        carry = 0
-        for i in range(int(stray[0]), len(limbs)):
-            carry, limbs[i] = divmod(limbs[i] + carry, RADIX)
-        while carry:
-            carry, low = divmod(carry, RADIX)
-            limbs.append(low)
-    return _trimmed(limbs)
+    return _carried(limbs, int(stray[0]) if stray.size else len(limbs))
 
 
 def _kara(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -100,10 +100,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_bench(args)
-    except ValueError as exc:
-        print(f"pascalrow: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"pascalrow: error: {exc}", file=sys.stderr)
         return 2
 
@@ -164,7 +161,7 @@ def _cmd_theta(args) -> int:
     geometry = rowgen.theta(args.n)
     base = rowgen.eleven_variant(geometry)
     print(
-        f"n={geometry.n} central_digits={geometry.central_digits} "
+        f"n={geometry.n} central_digits={geometry.block_width} "
         f"theta={geometry.theta} base={base}"
     )
     return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import oracle
-from .bignat import RADIX, RADIX_DIGITS, BigNat, pow10
+from .bignat import BigNat, pow10
 from .row import Method, Row
 
 _ONE = BigNat(1)
@@ -27,7 +27,6 @@ class ThetaResult:
     """Block geometry for one row index."""
 
     n: int
-    central_digits: int
     theta: int
     block_width: int
 
@@ -59,13 +58,8 @@ def theta(n: int) -> ThetaResult:
     """
     if n < 0:
         raise ValueError(f"row index must be >= 0, got {n}")
-    central_digits = oracle.central_digit_count(n)
-    return ThetaResult(
-        n=n,
-        central_digits=central_digits,
-        theta=central_digits - 1,
-        block_width=central_digits,
-    )
+    width = oracle.central_digit_count(n)
+    return ThetaResult(n=n, theta=width - 1, block_width=width)
 
 
 def eleven_variant(geometry: ThetaResult) -> BigNat:
@@ -172,7 +166,7 @@ def residue(n: int, r: int) -> Residue:
         r=r,
         width=width,
         remainder=remainder,
-        truncated_sum=_truncated_power_sum(n, r),
+        truncated_sum=BigNat.from_blocks(oracle_row(n).coefficients[:r], width),
     )
 
 
@@ -210,35 +204,3 @@ def oracle_row(n: int) -> Row:
     """The multiplicative oracle's row n, shared by every check on that row."""
     return oracle.row_multiplicative(n)
 
-
-def _truncated_power_sum(n: int, r: int) -> BigNat:
-    # sum(C(n, i) * 10**(i * width) for i in range(r)), assembled by adding
-    # each shifted coefficient into a limb accumulator at its digit offset.
-    width = theta(n).block_width
-    coefficients = oracle_row(n).coefficients
-    acc = [0] * (r * width // RADIX_DIGITS + 2)
-    for i in range(r):
-        offset_limbs, offset_digits = divmod(i * width, RADIX_DIGITS)
-        term = coefficients[i]
-        if offset_digits:
-            term = term.mul_small(10**offset_digits)
-        j = offset_limbs
-        carry = 0
-        for limb in term.limbs:
-            s = acc[j] + limb + carry
-            if s >= RADIX:
-                s -= RADIX
-                carry = 1
-            else:
-                carry = 0
-            acc[j] = s
-            j += 1
-        while carry:
-            s = acc[j] + 1
-            if s >= RADIX:
-                s -= RADIX
-            else:
-                carry = 0
-            acc[j] = s
-            j += 1
-    return BigNat.from_limbs(acc)

@@ -15,7 +15,7 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from os import PathLike
 from pathlib import Path
@@ -345,10 +345,8 @@ def _row_sum(facts):
 
 
 def _weighted_sum_11(facts):
-    # Horner form of sum(C(n, k) * 10**k) regardless of block width.
-    value = BigNat(0)
-    for coefficient in reversed(facts.oracle_row.coefficients):
-        value = value.mul_small(10) + coefficient
+    # sum(C(n, k) * 10**k): the row's blocks at width 1, carries and all.
+    value = BigNat.from_blocks(facts.oracle_row.coefficients, 1)
     expected = BigNat(11).pow(facts.n)
     if value != expected:
         yield None, str(expected), str(value)
@@ -376,28 +374,7 @@ def _result_digits(method: Method, row: Row) -> int:
 
 def _verify_lines(report: VerifyReport, fmt: str) -> list[str]:
     if fmt == "jsonl":
-        lines = []
-        for result in report.results:
-            lines.append(
-                json.dumps(
-                    {
-                        "n": result.n,
-                        "theta": result.theta,
-                        "checks": result.checks,
-                        "failures": [
-                            {
-                                "check": failure.check,
-                                "n": failure.n,
-                                "r": failure.r,
-                                "expected": failure.expected,
-                                "actual": failure.actual,
-                            }
-                            for failure in result.failures
-                        ],
-                    }
-                )
-            )
-        return lines
+        return [json.dumps(asdict(result)) for result in report.results]
     header = ["n", "theta", *report.checks]
     lines = [",".join(header)]
     for result in report.results:
@@ -412,17 +389,7 @@ def _verify_lines(report: VerifyReport, fmt: str) -> list[str]:
 def _bench_lines(records: list[BenchRecord], fmt: str) -> list[str]:
     if fmt == "jsonl":
         return [
-            json.dumps(
-                {
-                    "method": record.method.value,
-                    "n": record.n,
-                    "theta": record.theta,
-                    "result_digits": record.result_digits,
-                    "big_mul_count": record.big_mul_count,
-                    "median_wall_time_ns": record.median_wall_time_ns,
-                    "repetitions": record.repetitions,
-                }
-            )
+            json.dumps({**asdict(record), "method": record.method.value})
             for record in records
         ]
     lines = [BENCH_CSV_HEADER]

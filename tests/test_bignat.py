@@ -5,6 +5,7 @@ schoolbook on decimal strings, sharing nothing with the limb code.
 """
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -271,6 +272,38 @@ class TestSplitPow10:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             BigNat(1).split_pow10(-1)
+
+
+class TestFromBlocks:
+    def test_golden_row_nine(self):
+        row = [comb(9, k) for k in range(10)]
+        assert BigNat.from_blocks([BigNat(c) for c in row], 3) == BigNat(1001).pow(9)
+
+    def test_against_int_with_overlapping_blocks(self):
+        # Blocks up to 2*width + 10 digits wide overlap up to three
+        # neighbours, so their sum carries across block boundaries.
+        rng = random.Random(4321)
+        for width in range(1, 31):
+            for _ in range(12):
+                values = [
+                    rng.randrange(10 ** rng.randint(0, 2 * width + 10))
+                    for _ in range(rng.randint(0, 20))
+                ]
+                got = BigNat.from_blocks([BigNat(v) for v in values], width)
+                want = sum(v * 10 ** (i * width) for i, v in enumerate(values))
+                assert got.to_int() == want, (width, values)
+
+    def test_zero_blocks(self):
+        assert BigNat.from_blocks([BigNat(0)] * 5, 4) == BigNat(0)
+        assert BigNat.from_blocks([BigNat(0), BigNat(3), BigNat(0)], 2) == BigNat(300)
+
+    def test_empty_list_is_zero(self):
+        assert BigNat.from_blocks([], 3) == BigNat(0)
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_width_below_one_rejected(self, width):
+        with pytest.raises(ValueError, match="block width"):
+            BigNat.from_blocks([BigNat(1)], width)
 
 
 class TestComparison:

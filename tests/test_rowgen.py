@@ -18,7 +18,6 @@ class TestTheta:
         geometry = rowgen.theta(n)
         assert geometry.theta == expected
         assert geometry.block_width == expected + 1
-        assert geometry.central_digits == expected + 1
 
     def test_bracketing_inequalities(self):
         for n in (1, 5, 9, 10, 33, 100, 251):
@@ -46,10 +45,7 @@ class TestElevenVariant:
     )
     def test_rendering(self, theta_value, expected):
         geometry = rowgen.ThetaResult(
-            n=0,
-            central_digits=theta_value + 1,
-            theta=theta_value,
-            block_width=theta_value + 1,
+            n=0, theta=theta_value, block_width=theta_value + 1
         )
         assert str(rowgen.eleven_variant(geometry)) == expected
 
@@ -117,6 +113,18 @@ class TestPartitionBlocks:
                 want.append(low)
             got = rowgen.partition_blocks(BigNat(value), width, count)
             assert [b.to_int() for b in got] == want
+
+    def test_inverse_of_from_blocks(self):
+        # Blocks below 10**width are cut back out exactly as they went in.
+        rng = random.Random(161803)
+        for _ in range(150):
+            width = rng.randint(1, 30)
+            blocks = [
+                BigNat(rng.randrange(10 ** rng.randint(0, width)))
+                for _ in range(rng.randint(1, 20))
+            ]
+            value = BigNat.from_blocks(blocks, width)
+            assert rowgen.partition_blocks(value, width, len(blocks)) == blocks
 
 
 class TestRowViaPower:

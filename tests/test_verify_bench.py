@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from pascalrow import bignat, oracle, rowgen
+from pascalrow.bignat import BigNat
 from pascalrow.row import Method
 from pascalrow.verify_bench import (
     BENCH_CSV_HEADER,
@@ -53,14 +54,15 @@ class TestVerifyRange:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        counted(rowgen, "_truncated_power_sum")
+        counted(BigNat, "from_blocks")
         counted(oracle, "row_multiplicative")
         counted(oracle, "binomial")
         verify_range(0, 40, residue_samples=5, seed=0)
-        # 233 distinct (n, r) pairs over rows 0..40, one oracle row and one
+        # One truncated sum for each of the 233 distinct (n, r) pairs over
+        # rows 0..40 and one weighted sum per row; one oracle row and one
         # central coefficient (for theta) per row.
         assert calls == {
-            "_truncated_power_sum": 233,
+            "from_blocks": 233 + 41,
             "row_multiplicative": 41,
             "binomial": 41,
         }
@@ -190,6 +192,38 @@ class TestEmitReport:
             assert set(payload["checks"]) == set(CHECK_NAMES)
             assert all(payload["checks"].values())
             assert payload["failures"] == []
+
+    def test_verify_jsonl_line_with_failure_pinned(self, monkeypatch):
+        monkeypatch.setattr(
+            rowgen.Residue, "within_bound", property(lambda self: False)
+        )
+        report = verify_range(2, 2, checks=["symmetry", "lemma1_bound"], seed=0)
+        buffer = io.StringIO()
+        emit_report(report, "jsonl", buffer)
+        assert buffer.getvalue() == (
+            '{"n": 2, "theta": 0, "checks": {"lemma1_bound": false, "symmetry": true}, '
+            '"failures": [{"check": "lemma1_bound", "n": 2, "r": 1, '
+            '"expected": "at most 1 digits", "actual": "1 digits"}, '
+            '{"check": "lemma1_bound", "n": 2, "r": 3, '
+            '"expected": "at most 3 digits", "actual": "3 digits"}]}\n'
+        )
+
+    def test_bench_jsonl_line_pinned(self):
+        record = BenchRecord(
+            method=Method.POWER_PARTITION,
+            n=16,
+            theta=4,
+            result_digits=81,
+            big_mul_count=5,
+            median_wall_time_ns=98765,
+            repetitions=3,
+        )
+        buffer = io.StringIO()
+        emit_report([record], "jsonl", buffer)
+        assert buffer.getvalue() == (
+            '{"method": "power_partition", "n": 16, "theta": 4, "result_digits": 81, '
+            '"big_mul_count": 5, "median_wall_time_ns": 98765, "repetitions": 3}\n'
+        )
 
     def test_verify_csv_is_wide_with_selected_checks(self):
         report = verify_range(3, 4, checks=["row_sum", "symmetry"])
