@@ -7,6 +7,8 @@ instead of a division loop, which is the hot operation downstream.
 ``from_blocks`` is the inverse of cutting a number into fixed-width digit
 blocks: it lays the blocks at their digit offsets and adds them, carries
 included, so callers work in digits and blocks and never in limbs.
+``from_block_prefixes`` lays the blocks down once and yields that sum at
+each of several cuts; ``from_blocks`` is its single-cut case.
 
 Column sums become limbs in one place: a single exact carry pass over
 Python-int columns. It finishes the schoolbook product, ``from_blocks``
@@ -47,7 +49,7 @@ one sweep, not one numpy pass per limb of ripple.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -132,18 +134,40 @@ class BigNat:
         blocks of any size: a block wider than `width` carries into the
         blocks above it.
         """
+        blocks = tuple(blocks)
+        return next(cls.from_block_prefixes(blocks, width, (len(blocks),)))
+
+    @classmethod
+    def from_block_prefixes(
+        cls, blocks: Sequence["BigNat"], width: int, cuts: Iterable[int]
+    ) -> Iterator["BigNat"]:
+        """Yield from_blocks(blocks[:cut], width) for each cut, in one pass.
+
+        `cuts` must be non-decreasing and at most len(blocks). Each block is
+        scaled once; at each cut only the limbs from the first one touched
+        since the previous cut are carried, so the carry work is linear in
+        the blocks, not in the sum of the cuts.
+        """
         if width < 1:
             raise ValueError(f"block width must be >= 1, got {width}")
         columns = []
-        for i, block in enumerate(blocks):
-            whole, part = divmod(i * width, RADIX_DIGITS)
-            scale = 10**part
-            limbs = block._limbs
-            if len(columns) < whole + len(limbs):
-                columns += [0] * (whole + len(limbs) - len(columns))
-            for j, limb in enumerate(limbs, whole):
-                columns[j] += limb * scale
-        return cls._raw(_carried(columns))
+        done = 0
+        for cut in cuts:
+            if not done <= cut <= len(blocks):
+                raise ValueError(
+                    f"cut {cut} out of order or beyond {len(blocks)} blocks"
+                )
+            start = done * width // RADIX_DIGITS
+            for i in range(done, cut):
+                whole, part = divmod(i * width, RADIX_DIGITS)
+                scale = 10**part
+                limbs = blocks[i]._limbs
+                if len(columns) < whole + len(limbs):
+                    columns += [0] * (whole + len(limbs) - len(columns))
+                for j, limb in enumerate(limbs, whole):
+                    columns[j] += limb * scale
+            done = cut
+            yield cls._raw(_carried(columns, start))
 
     @classmethod
     def from_decimal(cls, text: str) -> "BigNat":
@@ -328,34 +352,46 @@ class BigNat:
         return self.pow(exponent)
 
     def split_pow10(self, k: int) -> tuple["BigNat", "BigNat"]:
-        """Split at 10**k: returns (self // 10**k, self % 10**k).
+        """Split at 10**k: returns (self // 10**k, self % 10**k)."""
+        return self.high_digits(k), self.low_digits(k)
 
-        With power-of-ten limbs this is a slice plus at most one sub-limb
-        digit shift, never a division loop.
+    def low_digits(self, k: int) -> "BigNat":
+        """self % 10**k: a slice of the low limbs plus at most one sub-limb %.
+
+        Nothing above the cut is built.
         """
         if k < 0:
             raise ValueError(f"split point must be >= 0, got {k}")
-        if k == 0:
-            return self, _ZERO
         limbs = self._limbs
         whole, part = divmod(k, RADIX_DIGITS)
         if whole >= len(limbs):
-            return _ZERO, self
+            return self
+        low = limbs[:whole]
+        if part:
+            low += (limbs[whole] % 10**part,)
+        return BigNat._raw(_trimmed(low))
+
+    def high_digits(self, k: int) -> "BigNat":
+        """self // 10**k: the limbs above the cut, shifted by a sub-limb offset.
+
+        Nothing below the cut is built.
+        """
+        if k < 0:
+            raise ValueError(f"split point must be >= 0, got {k}")
+        limbs = self._limbs
+        whole, part = divmod(k, RADIX_DIGITS)
+        if whole >= len(limbs):
+            return _ZERO
         if part == 0:
-            return (
-                BigNat._raw(limbs[whole:]),
-                BigNat._raw(_trimmed(limbs[:whole])),
-            )
+            return BigNat._raw(limbs[whole:])
         pivot = 10**part
         shift = RADIX // pivot
-        pivot_hi, pivot_lo = divmod(limbs[whole], pivot)
-        low = list(limbs[:whole])
-        low.append(pivot_lo)
-        high = []
-        for i in range(whole, len(limbs)):
-            carry_in = limbs[i + 1] % pivot if i + 1 < len(limbs) else 0
-            high.append((limbs[i] // pivot) + carry_in * shift)
-        return BigNat._raw(_trimmed(high)), BigNat._raw(_trimmed(low))
+        high = [
+            limbs[i] // pivot + limbs[i + 1] % pivot * shift
+            for i in range(whole, len(limbs) - 1)
+        ]
+        high.append(limbs[-1] // pivot)
+        return BigNat._raw(_trimmed(high))
 
 
 def pow10(k: int) -> BigNat:

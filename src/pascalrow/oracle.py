@@ -4,12 +4,18 @@ Two derivations that share no code with the power-partition generator:
 the multiplicative recurrence C(n, j+1) = C(n, j) * (n-j) / (j+1) with
 exact division at every step, and the additive rule that builds each row
 from the previous one. They validate each other and the generator.
+
+The additive rule keeps a whole row as one int64 matrix of base-10**7
+limbs and steps it with vectorised additions and carries only: it
+multiplies nothing and calls none of the product code.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import count
 from typing import Iterator
+
+import numpy as np
 
 from .bignat import RADIX, BigNat
 from .row import Method, Row
@@ -44,30 +50,34 @@ def row_multiplicative(n: int) -> Row:
     return Row(n=n, coefficients=tuple(coefficients), method=Method.MULTIPLICATIVE)
 
 
-def iter_recurrence_rows() -> Iterator[Row]:
-    """Yield rows 0, 1, 2, ... by summing adjacent elements of the previous row.
+def iter_recurrence_rows(start: int = 0) -> Iterator[Row]:
+    """Yield rows start, start + 1, ... by summing adjacent elements.
 
-    Sweeps over many consecutive rows should consume this iterator rather
-    than call row_recurrence per index, which restarts from the apex.
+    The rows are stepped as int64 limb matrices (see _next_limb_matrix) with
+    additions and carries only; a row becomes BigNat coefficients only when
+    it is yielded, so rows before `start` are never converted. Sweeps over
+    many consecutive rows should consume this iterator rather than call
+    row_recurrence per index, which restarts from the apex.
     """
-    coefficients = (_ONE,)
-    n = 0
-    while True:
-        yield Row(n=n, coefficients=coefficients, method=Method.RECURRENCE)
-        previous = coefficients
-        coefficients = (
-            (_ONE,)
-            + tuple(previous[i] + previous[i + 1] for i in range(len(previous) - 1))
-            + (_ONE,)
+    if start < 0:
+        raise ValueError(f"row index must be >= 0, got {start}")
+    # Row n as an (n+1) x L int64 matrix, one base-RADIX coefficient per
+    # matrix row, least significant limb first.
+    matrix = np.ones((1, 1), dtype=np.int64)
+    for _ in range(start):
+        matrix = _next_limb_matrix(matrix)
+    for n in count(start):
+        yield Row(
+            n=n,
+            coefficients=tuple(map(BigNat.from_limbs, matrix.tolist())),
+            method=Method.RECURRENCE,
         )
-        n += 1
+        matrix = _next_limb_matrix(matrix)
 
 
 def row_recurrence(n: int) -> Row:
     """Row n by the additive rule, built from row 0 upward."""
-    if n < 0:
-        raise ValueError(f"row index must be >= 0, got {n}")
-    return next(islice(iter_recurrence_rows(), n, None))
+    return next(iter_recurrence_rows(n))
 
 
 def central_digit_count(n: int) -> int:
@@ -84,3 +94,23 @@ def _exact_step(value: BigNat, numerator: int, denominator: int) -> BigNat:
             f"inexact division by {denominator} in binomial recurrence"
         )
     return quotient
+
+
+def _next_limb_matrix(matrix: np.ndarray) -> np.ndarray:
+    # The matrix added to itself shifted one row down (C(n+1, k) =
+    # C(n, k-1) + C(n, k)), with one spare limb column; then, until no limb
+    # is >= RADIX, every such limb gives RADIX to the limb above. A sum of
+    # two limbs plus a carry is below 2 * RADIX, so each pass leaves only
+    # carries of one, and no limb ever leaves int64. The spare column is
+    # dropped while it is zero.
+    rows, limbs = matrix.shape
+    following = np.zeros((rows + 1, limbs + 1), dtype=np.int64)
+    following[:-1, :-1] = matrix
+    following[1:, :-1] += matrix
+    while True:
+        over = following >= RADIX
+        if not over.any():
+            break
+        following -= over * RADIX
+        following[:, 1:] += over[:, :-1]
+    return following if following[:, -1].any() else following[:, :-1]

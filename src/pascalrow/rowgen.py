@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator, Sequence
 
 from . import oracle
 from .bignat import BigNat, pow10
@@ -117,7 +118,7 @@ def generate_row(method: Method, n: int) -> Row:
 class Residue:
     """The r lowest digit blocks of row n's power beside the sum they must equal.
 
-    `remainder` is the power modulo 10**(r * width), cut off by digit split;
+    `remainder` is the power modulo 10**(r * width), a slice of its low digits;
     `truncated_sum` is sum(C(n, i) * 10**(i * width) for i < r), assembled
     independently from oracle coefficients. The residue identity, the
     leading block and the no-carry bound are all read off these two.
@@ -132,7 +133,7 @@ class Residue:
     @property
     def leading_block(self) -> BigNat:
         """Top block of the sum; equals C(n, r-1) by the no-carry bound."""
-        return self.truncated_sum.split_pow10((self.r - 1) * self.width)[0]
+        return self.truncated_sum.high_digits((self.r - 1) * self.width)
 
     @property
     def within_bound(self) -> bool:
@@ -155,19 +156,32 @@ class Residue:
         return self
 
 
+def residues(n: int, rs: Sequence[int]) -> Iterator[Residue]:
+    """Both sides of the residue identity for each block count in `rs`.
+
+    `rs` must be ascending. The truncated sums come from one prefix pass
+    over the oracle row's coefficients, so every block is laid down once
+    per row however many block counts are sampled.
+    """
+    width = theta(n).block_width
+    for r in rs:
+        if not 1 <= r <= n + 1:
+            raise ValueError(f"block count r={r} outside 1..{n + 1} for row {n}")
+    power = power_integer(n)
+    sums = BigNat.from_block_prefixes(oracle_row(n).coefficients, width, rs)
+    for r, truncated_sum in zip(rs, sums):
+        yield Residue(
+            n=n,
+            r=r,
+            width=width,
+            remainder=power.low_digits(r * width),
+            truncated_sum=truncated_sum,
+        )
+
+
 def residue(n: int, r: int) -> Residue:
     """Both sides of the r-block residue identity for row n, each built once."""
-    width = theta(n).block_width
-    if not 1 <= r <= n + 1:
-        raise ValueError(f"block count r={r} outside 1..{n + 1} for row {n}")
-    _, remainder = power_integer(n).split_pow10(r * width)
-    return Residue(
-        n=n,
-        r=r,
-        width=width,
-        remainder=remainder,
-        truncated_sum=BigNat.from_blocks(oracle_row(n).coefficients[:r], width),
-    )
+    return next(residues(n, (r,)))
 
 
 def residue_partial_sum(n: int, r: int) -> BigNat:

@@ -119,9 +119,7 @@ def verify_range(
     block_checks = [name for name in selected if name in _BLOCK_CHECKS]
     additive_rows = None
     if "row_equality" in selected:
-        additive_rows = oracle.iter_recurrence_rows()
-        for _ in range(n_from):  # advance to the start of the range
-            next(additive_rows)
+        additive_rows = oracle.iter_recurrence_rows(n_from)
 
     for n in range(n_from, n_to + 1):
         facts = _RowFacts(n, next(additive_rows) if additive_rows else None)
@@ -129,9 +127,8 @@ def verify_range(
         for name in row_checks:
             found[name] += _ROW_CHECKS[name](facts)
         if block_checks:
-            # One residue per (n, r), dropped before the next r is built.
-            for r in _sample_r_values(n, residue_samples, seed):
-                residue = rowgen.residue(n, r)
+            rs = _sample_r_values(n, residue_samples, seed)
+            for residue in rowgen.residues(n, rs):
                 for name in block_checks:
                     found[name] += _BLOCK_CHECKS[name](facts, residue)
         report.results.append(

@@ -274,6 +274,63 @@ class TestSplitPow10:
             BigNat(1).split_pow10(-1)
 
 
+class TestLowHighDigits:
+    @pytest.mark.parametrize(
+        "value",
+        [0, 7, 10**7, 10**14 - 1, 123456789012345678901234567890, 10**50 + 1],
+    )
+    def test_against_int(self, value):
+        # k = 0, limb-aligned k (multiples of 7), mid-limb k, and k at or
+        # above the digit count.
+        x = BigNat(value)
+        for k in range(0, len(str(value)) + 16):
+            assert x.low_digits(k).to_int() == value % 10**k, k
+            assert x.high_digits(k).to_int() == value // 10**k, k
+
+    def test_canonical_limbs(self):
+        # A zero limb just below the cut must not survive as a leading zero.
+        x = BigNat(10**30 + 5)
+        assert x.low_digits(21).limbs == (5,)
+        assert x.low_digits(25) == BigNat(5)
+
+    @pytest.mark.parametrize("method", ["low_digits", "high_digits"])
+    def test_negative_rejected(self, method):
+        with pytest.raises(ValueError):
+            getattr(BigNat(1), method)(-1)
+
+
+class TestFromBlockPrefixes:
+    def test_every_cut_against_from_blocks(self):
+        # Blocks up to 2*width + 10 digits overlap and carry; the cuts
+        # include 1 and len(blocks), and may repeat or be 0.
+        rng = random.Random(8765)
+        for width in range(1, 31):
+            for _ in range(6):
+                values = [
+                    rng.randrange(10 ** rng.randint(0, 2 * width + 10))
+                    for _ in range(rng.randint(1, 20))
+                ]
+                blocks = [BigNat(v) for v in values]
+                cuts = sorted(
+                    [1, len(blocks)] + [rng.randint(0, len(blocks)) for _ in range(4)]
+                )
+                got = list(BigNat.from_block_prefixes(blocks, width, cuts))
+                assert got == [BigNat.from_blocks(blocks[:c], width) for c in cuts]
+                assert [g.to_int() for g in got] == [
+                    sum(v * 10 ** (i * width) for i, v in enumerate(values[:c]))
+                    for c in cuts
+                ], (width, values, cuts)
+
+    def test_no_cuts(self):
+        assert list(BigNat.from_block_prefixes([BigNat(1)], 3, [])) == []
+
+    @pytest.mark.parametrize("cuts", [[2, 1], [3], [-1]])
+    def test_bad_cuts_rejected(self, cuts):
+        blocks = [BigNat(1), BigNat(2)]
+        with pytest.raises(ValueError, match="cut"):
+            list(BigNat.from_block_prefixes(blocks, 3, cuts))
+
+
 class TestFromBlocks:
     def test_golden_row_nine(self):
         row = [comb(9, k) for k in range(10)]

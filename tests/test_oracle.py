@@ -1,14 +1,16 @@
 """Oracle tests: both row derivations against each other and math.comb."""
 
+import random
 from itertools import islice
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pascalrow import oracle
-from pascalrow.bignat import BigNat
+from pascalrow.bignat import RADIX, BigNat
 from pascalrow.row import Method
 
 
@@ -76,6 +78,61 @@ class TestRowRecurrence:
     def test_iterator_matches_single_rows(self):
         for row in islice(oracle.iter_recurrence_rows(), 12):
             assert row == oracle.row_recurrence(row.n)
+
+    def test_limb_matrix_against_comb(self):
+        # Rows 0..300 cross many limb-column growths and carry ripples.
+        for row in islice(oracle.iter_recurrence_rows(), 301):
+            assert [c.to_int() for c in row.coefficients] == [
+                comb(row.n, k) for k in range(row.n + 1)
+            ], row.n
+        row = oracle.row_recurrence(1000)
+        assert [c.to_int() for c in row.coefficients] == [
+            comb(1000, k) for k in range(1001)
+        ]
+
+    def test_carry_ripples_across_limbs(self):
+        # Rows 0..2216 never carry twice in one step, so the limb-matrix
+        # step is checked on crafted rows whose limb sums land on
+        # RADIX - 1 and then take a carry from below.
+        top = RADIX - 1
+        rng = random.Random(99)
+        cases = [[[top, 4_000_000], [1, 5_999_999]], [[top, top, top], [1, 0, 0]]]
+        for _ in range(200):
+            rows, limbs = rng.randint(1, 6), rng.randint(1, 5)
+            cases.append(
+                [[rng.choice((0, 1, top - 1, top)) for _ in range(limbs)]
+                 for _ in range(rows)]
+            )  # fmt: skip
+        def values(matrix):
+            return [sum(x * RADIX**i for i, x in enumerate(row)) for row in matrix]
+
+        for case in cases:
+            previous = values(case)
+            got = oracle._next_limb_matrix(np.array(case, dtype=np.int64))
+            assert got.min() >= 0 and got.max() < RADIX
+            assert values(got.tolist()) == [
+                a + b for a, b in zip([0] + previous, previous + [0])
+            ], case
+
+    def test_iterator_start(self):
+        rows = oracle.iter_recurrence_rows(37)
+        assert [next(rows).n for _ in range(3)] == [37, 38, 39]
+        assert next(oracle.iter_recurrence_rows(12)) == oracle.row_recurrence(12)
+
+    def test_rows_before_start_not_converted(self, monkeypatch):
+        converted = []
+        original = BigNat.from_limbs
+        monkeypatch.setattr(
+            BigNat, "from_limbs", lambda limbs: converted.append(1) or original(limbs)
+        )
+        oracle.row_recurrence(200)
+        assert len(converted) == 201
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            oracle.row_recurrence(-1)
+        with pytest.raises(ValueError):
+            next(oracle.iter_recurrence_rows(-1))
 
 
 def test_oracles_cross_agree():

@@ -55,17 +55,32 @@ class TestVerifyRange:
             monkeypatch.setattr(owner, name, wrapper)
 
         counted(BigNat, "from_blocks")
+        counted(BigNat, "from_block_prefixes")
         counted(oracle, "row_multiplicative")
         counted(oracle, "binomial")
         verify_range(0, 40, residue_samples=5, seed=0)
-        # One truncated sum for each of the 233 distinct (n, r) pairs over
-        # rows 0..40 and one weighted sum per row; one oracle row and one
-        # central coefficient (for theta) per row.
+        # Per row: one prefix pass yields the truncated sums of all its
+        # sampled block counts, and one more (through from_blocks) builds the
+        # weighted sum; one oracle row and one central coefficient (for
+        # theta).
         assert calls == {
-            "from_blocks": 233 + 41,
+            "from_blocks": 41,
+            "from_block_prefixes": 41 + 41,
             "row_multiplicative": 41,
             "binomial": 41,
         }
+
+    def test_rows_before_range_not_converted(self, monkeypatch):
+        # The additive oracle steps its limb matrix up to n_from and turns
+        # only the checked rows into BigNat coefficients.
+        converted = []
+        original = BigNat.from_limbs
+        monkeypatch.setattr(
+            BigNat, "from_limbs", lambda limbs: converted.append(1) or original(limbs)
+        )
+        report = verify_range(150, 152, checks=["row_equality"])
+        assert report.passed
+        assert len(converted) == 151 + 152 + 153
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError, match="unknown check"):
