@@ -120,7 +120,10 @@ class BigNat:
     @classmethod
     def from_limbs(cls, limbs: Iterable[int]) -> "BigNat":
         """Build from little-endian limbs; normalizes leading zeros."""
-        limbs = list(limbs)
+        # One tuple copy, which _trimmed returns as is unless it ends in
+        # zeros. The per-limb comparison beats min()/max() on CPython 3.11
+        # for the few-limb coefficients the additive oracle converts.
+        limbs = tuple(limbs)
         for limb in limbs:
             if not 0 <= limb < RADIX:
                 raise ValueError(f"limb {limb} out of range for radix {RADIX}")

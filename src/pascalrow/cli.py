@@ -1,6 +1,7 @@
 """Command-line front end: row, power, theta, verify, bench.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error. Data goes to
+Exit codes: 0 success, 1 verification failure, 2 usage error (also an
+unwritable --out, or a verify worker process that died). Data goes to
 stdout (or --out), diagnostics to stderr.
 """
 
@@ -171,7 +172,7 @@ def _cmd_verify(args) -> int:
     checks = None
     if args.checks is not None:
         checks = [name.strip() for name in args.checks.split(",") if name.strip()]
-    report = verify_bench.verify_range(
+    report = verify_bench.verify_range_parallel(
         args.n_from,
         args.n_to,
         checks=checks,

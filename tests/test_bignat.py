@@ -69,6 +69,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BigNat.from_limbs([bignat.RADIX])
 
+    def test_from_limbs_names_the_first_bad_limb(self):
+        with pytest.raises(ValueError, match=r"^limb -1 out of range"):
+            BigNat.from_limbs([5, -1, bignat.RADIX])
+        with pytest.raises(ValueError, match=rf"^limb {bignat.RADIX} out of range"):
+            BigNat.from_limbs(iter([0, bignat.RADIX, -1]))
+        assert BigNat.from_limbs((7, 0, 3, 0)) == BigNat(3 * bignat.RADIX**2 + 7)
+
 
 class TestParsing:
     def test_leading_zeros_normalized(self):

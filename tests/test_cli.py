@@ -1,11 +1,34 @@
 """Drive the CLI through run_cli and check output, formats and exit codes."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from pascalrow import bignat, rowgen
+import pascalrow
+from pascalrow import bignat, rowgen, verify_bench
 from pascalrow.cli import THRESHOLD_ENV_VAR, run_cli
+
+
+def run_python(code):
+    """Run `code` in a fresh interpreter that imports this source tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pascalrow.__file__).parents[1])}
+    env.pop(THRESHOLD_ENV_VAR, None)
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def serial_report(n_from, n_to, fmt="jsonl", **kwargs):
+    buffer = io.StringIO()
+    verify_bench.emit_report(
+        verify_bench.verify_range(n_from, n_to, residue_samples=5, **kwargs), fmt, buffer
+    )
+    return buffer.getvalue()
 
 
 @pytest.fixture(autouse=True)
@@ -135,6 +158,63 @@ class TestVerifyCommand:
         assert code == 0
         assert out == ""
         assert len(target.read_text().strip().split("\n")) == 3
+
+    def test_injected_failure_gives_the_serial_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            rowgen.Residue, "within_bound", property(lambda self: False)
+        )
+        code, out, err = run(capsys, "verify", "--from", "3", "--to", "40")
+        assert code == 1
+        assert out == serial_report(3, 40)
+        assert err == "verify n=3..40 seed=0 samples=5: FAIL\n"
+
+    def test_threshold_two_gives_the_same_report(self, capsys):
+        expected = serial_report(30, 90, "csv", seed=7)
+        code, out, _ = run(
+            capsys, "--karatsuba-threshold", "2", "verify", "--from", "30",
+            "--to", "90", "--seed", "7", "--format", "csv",
+        )  # fmt: skip
+        assert code == 0
+        assert out == expected
+
+    def test_dead_worker_is_one_error_line(self, tmp_path):
+        # A worker that exits mid-sweep breaks the pool: the CLI names the
+        # rows it could not check and writes no report.
+        target = tmp_path / "verify.jsonl"
+        result = run_python(
+            "import os, sys\n"
+            "from pascalrow import cli, verify_bench\n"
+            "symmetry = verify_bench._ROW_CHECKS['symmetry']\n"
+            "def dying(facts):\n"
+            "    if facts.n == 70:\n"
+            "        os._exit(3)\n"
+            "    return symmetry(facts)\n"
+            "verify_bench._ROW_CHECKS['symmetry'] = dying\n"
+            "sys.exit(cli.run_cli(['verify', '--from', '0', '--to', '120',\n"
+            f"                      '--out', {str(target)!r}]))\n"
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert not target.exists()
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        prefix = "pascalrow: error: a verify worker process died; rows "
+        assert lines[0].startswith(prefix) and lines[0].endswith(" were not checked")
+        spans = lines[0][len(prefix) : -len(" were not checked")].split(", ")
+        lost = [tuple(map(int, span.split(".."))) for span in spans]
+        assert any(lo <= 70 <= hi for lo, hi in lost)
+
+
+def test_startup_loads_no_process_pool():
+    result = run_python(
+        "import sys\n"
+        "import pascalrow.cli\n"
+        "assert pascalrow.cli.run_cli(['theta', '1']) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.partition('.')[0] in ('multiprocessing', 'concurrent')))\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "n=1 central_digits=1 theta=0 base=11\n[]\n"
 
 
 class TestBenchCommand:

@@ -1,22 +1,49 @@
 """Tests for the sweep, the benchmark harness and report emission."""
 
+import concurrent.futures
+import hashlib
 import io
 import json
+import os
 from collections import Counter
 
 import pytest
 
-from pascalrow import bignat, oracle, rowgen
+from pascalrow import bignat, oracle, rowgen, verify_bench
 from pascalrow.bignat import BigNat
 from pascalrow.row import Method
 from pascalrow.verify_bench import (
     BENCH_CSV_HEADER,
     CHECK_NAMES,
     BenchRecord,
+    RowVerification,
+    VerifyReport,
     bench_methods,
     emit_report,
     verify_range,
+    verify_range_parallel,
 )
+
+
+def _emitted(report):
+    texts = {}
+    for fmt in ("jsonl", "csv"):
+        buffer = io.StringIO()
+        emit_report(report, fmt, buffer)
+        texts[fmt] = buffer.getvalue()
+    return texts
+
+
+def _threshold_probe(n_from, n_to, checks, residue_samples, seed):
+    # Stands in for verify_range in a worker: reports, as each row's theta,
+    # the multiplication threshold the worker process sees.
+    return VerifyReport(
+        n_from, n_to, seed, residue_samples, checks,
+        results=[
+            RowVerification(n, bignat.karatsuba_threshold(), {})
+            for n in range(n_from, n_to + 1)
+        ],
+    )  # fmt: skip
 
 
 class TestVerifyRange:
@@ -125,6 +152,96 @@ class TestVerifyRange:
         failure = next(f for f in result.failures if f.check == "leading_block")
         assert failure.n == 7 and failure.r is not None
         assert failure.expected != failure.actual
+
+
+class TestVerifyRangeParallel:
+    def test_full_sweep_matches_the_pinned_reports(self):
+        # The digests criterion 5 pins for verify_range(0, 300, 5, seed=0).
+        texts = _emitted(verify_range_parallel(0, 300, residue_samples=5, seed=0))
+        digests = {fmt: hashlib.md5(text.encode()).hexdigest() for fmt, text in texts.items()}
+        assert digests == {
+            "jsonl": "5ce6c6ce5bbe01d7f3f5db94ba1eb3c0",
+            "csv": "64e7f69cbd702c975fee9c648b50b927",
+        }
+
+    @pytest.mark.parametrize(
+        "n_from, n_to, checks, seed",
+        [
+            (37, 90, None, 0),
+            (37, 90, None, 7),
+            (5, 5, None, 7),
+            (0, 0, None, 0),
+            (0, 80, ["digit_length", "residue_identity", "leading_block",
+                     "lemma1_bound", "symmetry", "row_sum", "weighted_sum_11"], 7),
+            (20, 120, ["row_equality"], 0),
+        ],
+    )  # fmt: skip
+    def test_same_bytes_as_verify_range(self, n_from, n_to, checks, seed):
+        serial = verify_range(n_from, n_to, checks, residue_samples=5, seed=seed)
+        fanned = verify_range_parallel(n_from, n_to, checks, residue_samples=5, seed=seed)
+        assert _emitted(fanned) == _emitted(serial)
+        assert (fanned.n_from, fanned.n_to, fanned.checks) == (n_from, n_to, serial.checks)
+
+    def test_one_cpu_gives_the_same_report(self, monkeypatch):
+        serial = verify_range(37, 90, residue_samples=5, seed=7)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert _emitted(verify_range_parallel(37, 90, residue_samples=5, seed=7)) == (
+            _emitted(serial)
+        )
+
+    def test_injected_failure_reaches_the_workers(self, monkeypatch):
+        monkeypatch.setattr(
+            rowgen.Residue, "within_bound", property(lambda self: False)
+        )
+        serial = verify_range(5, 40, residue_samples=2, seed=3)
+        fanned = verify_range_parallel(5, 40, residue_samples=2, seed=3)
+        assert not fanned.passed
+        assert _emitted(fanned) == _emitted(serial)
+
+    def test_threshold_reaches_the_workers(self, monkeypatch):
+        monkeypatch.setattr(verify_bench, "verify_range", _threshold_probe)
+        bignat.set_karatsuba_threshold(2)
+        report = verify_range_parallel(0, 60, residue_samples=1)
+        assert [r.n for r in report.results] == list(range(61))
+        assert {r.theta for r in report.results} == {2}
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((-1, 3), {}),
+            ((5, 2), {}),
+            ((0, 1), {"residue_samples": 0}),
+            ((0, 1), {"checks": []}),
+            ((0, 1), {"checks": ["row_equality", "bogus"]}),
+        ],
+    )
+    def test_bad_arguments_rejected_before_any_worker(self, monkeypatch, args, kwargs):
+        with pytest.raises(ValueError) as serial:
+            verify_range(*args, **kwargs)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool started before the arguments were checked")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError) as fanned:
+            verify_range_parallel(*args, **kwargs)
+        assert str(fanned.value) == str(serial.value)
+
+    @pytest.mark.parametrize(
+        "n_from, n_to, count", [(0, 300, 8), (0, 300, 4), (37, 90, 8), (5, 5, 8), (0, 2, 8)]
+    )
+    def test_spans_cover_the_range_in_order(self, n_from, n_to, count):
+        spans = verify_bench._balanced_spans(n_from, n_to, count)
+        assert 1 <= len(spans) <= count
+        assert spans[0][0] == n_from and spans[-1][1] == n_to
+        assert all(lo <= hi for lo, hi in spans)
+        assert all(a[1] + 1 == b[0] for a, b in zip(spans, spans[1:]))
+
+    def test_spans_balance_the_weight(self):
+        spans = verify_bench._balanced_spans(0, 300, 8)
+        assert len(spans) == 8
+        weights = [sum((n + 1) ** 2 for n in range(lo, hi + 1)) for lo, hi in spans]
+        assert max(weights) < 1.3 * sum(weights) / 8
 
 
 class TestBenchMethods:
