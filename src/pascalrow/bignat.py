@@ -7,14 +7,19 @@ instead of a division loop, which is the hot operation downstream.
 ``from_blocks`` is the inverse of cutting a number into fixed-width digit
 blocks: it lays the blocks at their digit offsets and adds them, carries
 included, so callers work in digits and blocks and never in limbs.
+At width 0 every block sits at offset 0, which is the plain sum.
 ``from_block_prefixes`` lays the blocks down once and yields that sum at
 each of several cuts; ``from_blocks`` is its single-cut case.
 
 Column sums become limbs in one place: a single exact carry pass over
-Python-int columns. It finishes the schoolbook product, ``from_blocks``
-and the top-level normalisation of the Karatsuba product.
+Python-int columns. It finishes addition, the schoolbook product,
+``from_blocks`` and the top-level normalisation of the Karatsuba product.
+The scalar steps ``mul_small`` and ``divmod_small`` keep their own loops:
+they are the independent steps of the multiplicative oracle.
 
-Multiplication has two paths that must agree bit-exactly:
+Multiplication has two paths that must agree bit-exactly. ``*``,
+``mul_quadratic`` and ``mul_subquadratic`` share one entry that counts
+the product, returns zero for a zero factor and runs the chosen path:
 
 * a plain schoolbook loop in Python (the quadratic path), used below the
   Karatsuba threshold; the shorter factor runs the outer loop, so the
@@ -135,7 +140,7 @@ class BigNat:
 
         The inverse of cutting a number into `width`-digit blocks. Exact for
         blocks of any size: a block wider than `width` carries into the
-        blocks above it.
+        blocks above it. Width 0 gives the plain sum of the blocks.
         """
         blocks = tuple(blocks)
         return next(cls.from_block_prefixes(blocks, width, (len(blocks),)))
@@ -151,8 +156,8 @@ class BigNat:
         since the previous cut are carried, so the carry work is linear in
         the blocks, not in the sum of the cuts.
         """
-        if width < 1:
-            raise ValueError(f"block width must be >= 1, got {width}")
+        if width < 0:
+            raise ValueError(f"block width must be >= 0, got {width}")
         columns = []
         done = 0
         for cut in cuts:
@@ -270,44 +275,16 @@ class BigNat:
         a, b = self._limbs, other._limbs
         if len(a) < len(b):
             a, b = b, a
-        out = []
-        append = out.append
-        carry = 0
-        for i, y in enumerate(b):
-            s = a[i] + y + carry
-            if s >= RADIX:
-                s -= RADIX
-                carry = 1
-            else:
-                carry = 0
-            append(s)
-        i = len(b)
-        n = len(a)
-        while carry and i < n:
-            s = a[i] + 1
-            if s >= RADIX:
-                s -= RADIX
-            else:
-                carry = 0
-            append(s)
-            i += 1
-        if i < n:
-            out.extend(a[i:])
-        elif carry:
-            append(1)
-        return BigNat._raw(tuple(out))
+        columns = list(a)
+        for i, limb in enumerate(b):
+            columns[i] += limb
+        return BigNat._raw(_carried(columns))
 
     def __mul__(self, other: "BigNat") -> "BigNat":
         if not isinstance(other, BigNat):
             return NotImplemented
-        global _mul_ops
-        _mul_ops += 1
-        a, b = self._limbs, other._limbs
-        if not a or not b:
-            return _ZERO
-        if min(len(a), len(b)) < _karatsuba_threshold:
-            return BigNat._raw(_mul_quadratic_limbs(a, b))
-        return BigNat._raw(_mul_subquadratic_limbs(a, b))
+        shorter = min(len(self._limbs), len(other._limbs))
+        return _product(self, other, shorter >= _karatsuba_threshold)
 
     def mul_small(self, factor: int) -> "BigNat":
         """Product with a single-limb scalar (0 <= factor < RADIX)."""
@@ -407,20 +384,22 @@ def pow10(k: int) -> BigNat:
 
 def mul_quadratic(a: BigNat, b: BigNat) -> BigNat:
     """Force the schoolbook path regardless of the threshold."""
-    global _mul_ops
-    _mul_ops += 1
-    if not a._limbs or not b._limbs:
-        return _ZERO
-    return BigNat._raw(_mul_quadratic_limbs(a._limbs, b._limbs))
+    return _product(a, b, False)
 
 
 def mul_subquadratic(a: BigNat, b: BigNat) -> BigNat:
     """Force the Karatsuba path regardless of the threshold."""
+    return _product(a, b, True)
+
+
+def _product(a: BigNat, b: BigNat, subquadratic: bool) -> BigNat:
+    # The one counted entry for full products, whichever path runs.
     global _mul_ops
     _mul_ops += 1
     if not a._limbs or not b._limbs:
         return _ZERO
-    return BigNat._raw(_mul_subquadratic_limbs(a._limbs, b._limbs))
+    kernel = _mul_subquadratic_limbs if subquadratic else _mul_quadratic_limbs
+    return BigNat._raw(kernel(a._limbs, b._limbs))
 
 
 def _trimmed(limbs) -> tuple:

@@ -195,3 +195,7 @@ def _cmd_bench(args) -> int:
     )
     verify_bench.emit_report(records, "csv", args.out)
     return 0
+
+
+if __name__ == "__main__":
+    main()

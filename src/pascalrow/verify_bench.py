@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from . import bignat, oracle, rowgen
-from .bignat import BigNat
+from .bignat import BigNat, pow10
 from .row import Method, Row
 
 #: Canonical check order, used for report columns and JSON key order.
@@ -353,10 +353,13 @@ def _validated_checks(checks: Sequence[str] | None) -> tuple[str, ...]:
 
 def _sample_r_values(n: int, residue_samples: int, seed: int) -> list[int]:
     # Per-n generator keeps the draw independent of sweep order and of
-    # which checks are enabled.
+    # which checks are enabled. It is discarded after this row, so the draw
+    # stops once every block count is in: more draws cannot change the set.
     rng = random.Random(seed * 1_000_003 + n)
     values = {1, n + 1}
     for _ in range(residue_samples):
+        if len(values) == n + 1:
+            break
         values.add(rng.randint(1, n + 1))
     return sorted(values)
 
@@ -434,29 +437,28 @@ def _symmetry(facts):
             return
 
 
-def _row_sum(facts):
-    total = BigNat(0)
-    for coefficient in facts.power_row.coefficients:
-        total = total + coefficient
-    expected = BigNat(2).pow(facts.n)
-    if total != expected:
-        yield None, str(expected), str(total)
+def _evaluation(row: str, width: int):
+    """Check that `row` of the facts, read at x = 10**width, is (x + 1)**n.
 
+    The construction's identity at one point: x = 1 (width 0) is the row
+    sum 2**n, x = 10 (width 1) the weighted sum 11**n.
+    """
 
-def _weighted_sum_11(facts):
-    # sum(C(n, k) * 10**k): the row's blocks at width 1, carries and all.
-    value = BigNat.from_blocks(facts.oracle_row.coefficients, 1)
-    expected = BigNat(11).pow(facts.n)
-    if value != expected:
-        yield None, str(expected), str(value)
+    def check(facts):
+        value = BigNat.from_blocks(getattr(facts, row).coefficients, width)
+        expected = (pow10(width) + BigNat(1)).pow(facts.n)
+        if value != expected:
+            yield None, str(expected), str(value)
+
+    return check
 
 
 _ROW_CHECKS = {
     "row_equality": _row_equality,
     "digit_length": _digit_length,
     "symmetry": _symmetry,
-    "row_sum": _row_sum,
-    "weighted_sum_11": _weighted_sum_11,
+    "row_sum": _evaluation("power_row", 0),
+    "weighted_sum_11": _evaluation("oracle_row", 1),
 }
 _BLOCK_CHECKS = {
     "residue_identity": _residue_identity,

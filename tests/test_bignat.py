@@ -140,6 +140,33 @@ class TestAddition:
             got = BigNat.from_decimal(a) + BigNat.from_decimal(b)
             assert got.to_decimal() == string_add(a, b)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 50])
+    def test_long_carry_ripples_against_int(self, k):
+        # 10**(7k) - 1 is k all-nine limbs: adding 1 or itself carries
+        # through every limb and out of the top one.
+        nines = 10 ** (7 * k) - 1
+        for left, right in (
+            (nines, 1),
+            (1, nines),
+            (nines, nines),
+            (nines, 10 ** (7 * k + 3)),
+            (nines, 7),
+            (nines, 0),
+            (0, nines),
+            (0, 0),
+        ):
+            got = BigNat(left) + BigNat(right)
+            assert got.to_int() == left + right, (left, right)
+            assert got == BigNat(left + right)
+
+    def test_unequal_lengths_against_int(self):
+        rng = random.Random(1357)
+        for _ in range(200):
+            a = rng.randrange(bignat.RADIX ** rng.randint(0, 12))
+            b = rng.randrange(bignat.RADIX ** rng.randint(0, 3))
+            assert BigNat(a) + BigNat(b) == BigNat(a + b)
+            assert BigNat(b) + BigNat(a) == BigNat(a + b)
+
 
 class TestMultiplication:
     def test_identity(self):
@@ -210,6 +237,28 @@ class TestMultiplication:
         assert bignat.mul_counter() == 2
         bignat.reset_mul_counter()
         assert bignat.mul_counter() == 0
+
+    @pytest.mark.parametrize(
+        "entry", ["__mul__", "mul_quadratic", "mul_subquadratic", "mul_small"]
+    )
+    def test_each_entry_counts_once(self, entry):
+        # Zero factors, a short factor, operands above the threshold and a
+        # square: every call counts exactly one product.
+        run = {
+            "__mul__": lambda x, y: x * y,
+            "mul_quadratic": mul_quadratic,
+            "mul_subquadratic": mul_subquadratic,
+            "mul_small": lambda x, y: x.mul_small(y.to_int()),
+        }[entry]
+        big = 7**400
+        assert len(BigNat(big).limbs) >= bignat.karatsuba_threshold()
+        pairs = [(3, 4), (0, 4), (3, 0), (0, 0), (big, 5)]
+        if entry != "mul_small":
+            pairs += [(big, big), (big, 7**300), (0, big)]
+        for a, b in pairs:
+            bignat.reset_mul_counter()
+            assert run(BigNat(a), BigNat(b)) == BigNat(a * b)
+            assert bignat.mul_counter() == 1, (a, b)
 
 
 class TestPower:
@@ -366,8 +415,27 @@ class TestFromBlocks:
 
     @pytest.mark.parametrize("width", [0, -1])
     def test_width_below_one_rejected(self, width):
+        # Width 0 lays every block at offset 0: the plain sum. Only a
+        # negative width is rejected.
+        blocks = [BigNat(9_999_999), BigNat(1), BigNat(10**20)]
+        if width == 0:
+            assert BigNat.from_blocks(blocks, width) == BigNat(10**20 + 10**7)
+            return
         with pytest.raises(ValueError, match="block width"):
-            BigNat.from_blocks([BigNat(1)], width)
+            BigNat.from_blocks(blocks, width)
+
+    def test_width_zero_is_the_sum(self):
+        rng = random.Random(2468)
+        for _ in range(60):
+            values = [
+                rng.randrange(bignat.RADIX ** rng.randint(0, 20))
+                for _ in range(rng.randint(0, 30))
+            ]
+            blocks = [BigNat(v) for v in values]
+            assert BigNat.from_blocks(blocks, 0).to_int() == sum(values), values
+            cuts = sorted(rng.randint(0, len(blocks)) for _ in range(4))
+            got = BigNat.from_block_prefixes(blocks, 0, cuts)
+            assert [g.to_int() for g in got] == [sum(values[:c]) for c in cuts]
 
 
 class TestComparison:

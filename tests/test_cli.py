@@ -16,10 +16,15 @@ from pascalrow.cli import THRESHOLD_ENV_VAR, run_cli
 
 def run_python(code):
     """Run `code` in a fresh interpreter that imports this source tree."""
+    return run_interpreter("-c", code)
+
+
+def run_interpreter(*args):
+    """Run a fresh interpreter with `args` on this source tree."""
     env = {**os.environ, "PYTHONPATH": str(Path(pascalrow.__file__).parents[1])}
     env.pop(THRESHOLD_ENV_VAR, None)
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
 
 
@@ -215,6 +220,29 @@ def test_startup_loads_no_process_pool():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "n=1 central_digits=1 theta=0 base=11\n[]\n"
+
+
+class TestRunAsModule:
+    # `python -m pascalrow.cli` must run the CLI: a module that only
+    # defines main() would print nothing and exit 0, which reads as a pass.
+    def test_theta(self):
+        result = run_interpreter("-m", "pascalrow.cli", "theta", "9")
+        assert (result.returncode, result.stdout) == (
+            0,
+            "n=9 central_digits=3 theta=2 base=1001\n",
+        ), result.stderr
+
+    def test_usage_error_exits_two(self):
+        result = run_interpreter(
+            "-m", "pascalrow.cli", "verify", "--from", "0", "--to", "5", "--checks", "bogus"
+        )
+        assert result.returncode == 2
+        assert "unknown check name" in result.stderr
+
+    def test_verify_report(self):
+        result = run_interpreter("-m", "pascalrow.cli", "verify", "--from", "0", "--to", "20")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == serial_report(0, 20)
 
 
 class TestBenchCommand:

@@ -11,7 +11,7 @@ import pytest
 
 from pascalrow import bignat, oracle, rowgen, verify_bench
 from pascalrow.bignat import BigNat
-from pascalrow.row import Method
+from pascalrow.row import Method, Row
 from pascalrow.verify_bench import (
     BENCH_CSV_HEADER,
     CHECK_NAMES,
@@ -87,12 +87,12 @@ class TestVerifyRange:
         counted(oracle, "binomial")
         verify_range(0, 40, residue_samples=5, seed=0)
         # Per row: one prefix pass yields the truncated sums of all its
-        # sampled block counts, and one more (through from_blocks) builds the
-        # weighted sum; one oracle row and one central coefficient (for
-        # theta).
+        # sampled block counts, and two more (through from_blocks) build the
+        # row sum and the weighted sum; one oracle row and one central
+        # coefficient (for theta).
         assert calls == {
-            "from_blocks": 41,
-            "from_block_prefixes": 41 + 41,
+            "from_blocks": 41 + 41,
+            "from_block_prefixes": 41 + 41 + 41,
             "row_multiplicative": 41,
             "binomial": 41,
         }
@@ -152,6 +152,49 @@ class TestVerifyRange:
         failure = next(f for f in result.failures if f.check == "leading_block")
         assert failure.n == 7 and failure.r is not None
         assert failure.expected != failure.actual
+
+    @pytest.mark.parametrize(
+        "maker,failing,expected,actual",
+        [
+            ("row_via_power", "row_sum", 2**6, 2**6 + 1),
+            ("oracle_row", "weighted_sum_11", 11**6, 11**6 + 100),
+        ],
+        ids=["row_sum", "weighted_sum_11"],
+    )
+    def test_row_read_at_one_and_ten(self, monkeypatch, maker, failing, expected, actual):
+        # C(6, 2) off by one in the power row moves its sum off 2**6; in the
+        # oracle row it moves the row read at x = 10 off 11**6.
+        make = getattr(rowgen, maker)
+
+        def bumped(n):
+            coefficients = list(make(n).coefficients)
+            coefficients[2] = coefficients[2] + BigNat(1)
+            return Row(n, tuple(coefficients), Method.POWER_PARTITION)
+
+        monkeypatch.setattr(rowgen, maker, bumped)
+        result = verify_range(6, 6, checks=["row_sum", "weighted_sum_11"]).results[0]
+        assert result.checks == {
+            name: name != failing for name in ("row_sum", "weighted_sum_11")
+        }
+        assert [(f.check, f.r, f.expected, f.actual) for f in result.failures] == [
+            (failing, None, str(expected), str(actual))
+        ]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 120])
+    def test_samples_stop_once_every_block_count_is_drawn(self, n):
+        # 10**9 draws would take minutes; once all of 1..n+1 is drawn the
+        # rest cannot change the set.
+        for seed in (0, 5):
+            assert verify_bench._sample_r_values(n, 10**9, seed) == list(range(1, n + 2))
+
+    def test_report_unchanged_past_a_full_draw(self):
+        # At 2000 samples every row of 0..30 already draws all its block
+        # counts, so the sample count past that changes nothing.
+        for n in range(31):
+            assert verify_bench._sample_r_values(n, 2000, 0) == list(range(1, n + 2))
+        full = _emitted(verify_range(0, 30, residue_samples=2000, seed=0))
+        huge = _emitted(verify_range(0, 30, residue_samples=10**9, seed=0))
+        assert huge == full
 
 
 class TestVerifyRangeParallel:
