@@ -69,7 +69,7 @@ def iter_recurrence_rows(start: int = 0) -> Iterator[Row]:
     for n in count(start):
         yield Row(
             n=n,
-            coefficients=tuple(map(BigNat.from_limbs, matrix.tolist())),
+            coefficients=tuple(BigNat.from_limb_rows(matrix)),
             method=Method.RECURRENCE,
         )
         matrix = _next_limb_matrix(matrix)

@@ -77,23 +77,11 @@ def power_integer(n: int) -> BigNat:
 def partition_blocks(x: BigNat, width: int, expected: int) -> list[BigNat]:
     """Slice x into `expected` blocks of `width` digits, rightmost first.
 
-    Renders x in decimal once and cuts the text from its right end; blocks
-    above the leading digit come out as zero.
+    Blocks above the leading digit come out as zero. Raises ValueError for
+    a width or count below 1, or when x has more than expected * width
+    digits.
     """
-    if width < 1:
-        raise ValueError(f"block width must be >= 1, got {width}")
-    if expected < 1:
-        raise ValueError(f"block count must be >= 1, got {expected}")
-    text = x.to_decimal()
-    if len(text) > expected * width:
-        raise ValueError(
-            f"{len(text)} digits do not fit {expected} blocks of width {width}"
-        )
-    stops = range(len(text), len(text) - expected * width, -width)
-    return [
-        BigNat.from_decimal(text[max(0, stop - width) : max(0, stop)] or "0")
-        for stop in stops
-    ]
+    return x.to_blocks(width, expected)
 
 
 def row_via_power(n: int) -> Row:

@@ -7,6 +7,7 @@ schoolbook on decimal strings, sharing nothing with the limb code.
 import random
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -436,6 +437,117 @@ class TestFromBlocks:
             cuts = sorted(rng.randint(0, len(blocks)) for _ in range(4))
             got = BigNat.from_block_prefixes(blocks, 0, cuts)
             assert [g.to_int() for g in got] == [sum(values[:c]) for c in cuts]
+
+
+def text_cut(x: BigNat, width: int, count: int) -> list[int]:
+    # The cut by slicing the decimal rendering from its right end.
+    text = x.to_decimal()
+    stops = range(len(text), len(text) - count * width, -width)
+    return [int(text[max(0, stop - width) : max(0, stop)] or "0") for stop in stops]
+
+
+def int_cut(value: int, width: int, count: int) -> list[int]:
+    blocks = []
+    for _ in range(count):
+        value, low = divmod(value, 10**width)
+        blocks.append(low)
+    return blocks
+
+
+class TestToBlocks:
+    CHUNK = bignat._CUT_CHUNK_BLOCKS
+
+    @pytest.mark.parametrize("width", range(1, 31))
+    def test_against_text_slicing_and_int(self, width):
+        # Block counts either side of the chunk size; values that fill
+        # every block and values whose top blocks are zero.
+        rng = random.Random(width)
+        for count in (1, 2, self.CHUNK - 1, self.CHUNK + 1, 2 * self.CHUNK + 1):
+            for digits in (count * width, rng.randint(0, count * width)):
+                value = rng.randrange(10**digits) if digits else 0
+                got = [b.to_int() for b in BigNat(value).to_blocks(width, count)]
+                assert got == int_cut(value, width, count), (width, count, digits)
+                assert got == text_cut(BigNat(value), width, count)
+
+    @pytest.mark.parametrize("width", [7, 14, 21])
+    def test_limb_aligned_widths_of_nines(self, width):
+        # All-9 limbs at widths that are whole limbs: every block is
+        # 10**width - 1, its top limb full.
+        count = self.CHUNK + 3
+        value = 10 ** (count * width) - 1
+        blocks = BigNat(value).to_blocks(width, count)
+        assert blocks == [BigNat(10**width - 1)] * count
+
+    def test_zero(self):
+        assert BigNat(0).to_blocks(1, 1) == [BigNat(0)]
+        assert BigNat(0).to_blocks(9, self.CHUNK + 1) == [BigNat(0)] * (self.CHUNK + 1)
+
+    def test_blocks_above_the_leading_digit_are_zero(self):
+        assert [b.to_int() for b in BigNat(12_345_678).to_blocks(3, 5)] == [
+            678, 345, 12, 0, 0,
+        ]  # fmt: skip
+        blocks = BigNat(7).to_blocks(2, 2 * self.CHUNK + 1)
+        assert blocks == [BigNat(7)] + [BigNat(0)] * (2 * self.CHUNK)
+
+    def test_inverse_of_from_blocks(self):
+        rng = random.Random(97)
+        for width in (1, 6, 7, 8, 13, 30):
+            values = [rng.randrange(10**width) for _ in range(self.CHUNK + 5)]
+            blocks = [BigNat(v) for v in values]
+            assert BigNat.from_blocks(blocks, width).to_blocks(width, len(blocks)) == (
+                blocks
+            )
+
+    def test_too_many_digits(self):
+        with pytest.raises(ValueError, match=r"^5 digits do not fit 2 blocks of width 2$"):
+            BigNat(12345).to_blocks(2, 2)
+
+    @pytest.mark.parametrize(
+        "width,count,message",
+        [
+            (0, 1, r"^block width must be >= 1, got 0$"),
+            (-3, 1, r"^block width must be >= 1, got -3$"),
+            (3, 0, r"^block count must be >= 1, got 0$"),
+        ],
+    )
+    def test_degenerate_shapes(self, width, count, message):
+        with pytest.raises(ValueError, match=message):
+            BigNat(1).to_blocks(width, count)
+
+
+class TestFromLimbRows:
+    def test_matches_from_limbs_per_row(self):
+        rng = random.Random(31)
+        rows = [
+            [rng.choice((0, rng.randrange(bignat.RADIX))) for _ in range(6)]
+            for _ in range(40)
+        ]
+        rows += [[0] * 6, [bignat.RADIX - 1] * 6]
+        got = BigNat.from_limb_rows(np.array(rows, dtype=np.int64))
+        assert got == [BigNat.from_limbs(row) for row in rows]
+        assert [g.limbs for g in got] == [BigNat.from_limbs(row).limbs for row in rows]
+
+    def test_empty_shapes(self):
+        assert BigNat.from_limb_rows(np.zeros((0, 3), dtype=np.int64)) == []
+        assert BigNat.from_limb_rows(np.zeros((2, 0), dtype=np.int64)) == [
+            BigNat(0), BigNat(0),
+        ]  # fmt: skip
+
+    @pytest.mark.parametrize("bad", [-1, bignat.RADIX, 2**40])
+    def test_names_the_bad_limb(self, bad):
+        matrix = np.array([[5, 0, 9], [3, bad, 1]], dtype=np.int64)
+        with pytest.raises(ValueError, match=rf"^limb {bad} out of range"):
+            BigNat.from_limb_rows(matrix)
+
+    def test_names_the_first_bad_limb_in_row_order(self):
+        matrix = np.array([[5, bignat.RADIX], [-1, 0]], dtype=np.int64)
+        with pytest.raises(ValueError, match=rf"^limb {bignat.RADIX} out of range"):
+            BigNat.from_limb_rows(matrix)
+
+    @pytest.mark.parametrize("matrix", [np.arange(4), np.ones((2, 2)), [[1.5]]])
+    def test_rejects_what_is_not_an_integer_matrix(self, matrix):
+        with pytest.raises(ValueError, match="2-D integer array"):
+            BigNat.from_limb_rows(matrix)
 
 
 class TestComparison:

@@ -120,13 +120,16 @@ class TestRowRecurrence:
         assert next(oracle.iter_recurrence_rows(12)) == oracle.row_recurrence(12)
 
     def test_rows_before_start_not_converted(self, monkeypatch):
+        # One limb-matrix conversion per yielded row, of that row only.
         converted = []
-        original = BigNat.from_limbs
+        original = BigNat.from_limb_rows
         monkeypatch.setattr(
-            BigNat, "from_limbs", lambda limbs: converted.append(1) or original(limbs)
+            BigNat,
+            "from_limb_rows",
+            lambda matrix: converted.append(len(matrix)) or original(matrix),
         )
         oracle.row_recurrence(200)
-        assert len(converted) == 201
+        assert converted == [201]
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

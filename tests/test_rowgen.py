@@ -1,6 +1,7 @@
 """Tests for the block-partition construction and its executable checks."""
 
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -114,6 +115,18 @@ class TestPartitionBlocks:
             got = rowgen.partition_blocks(BigNat(value), width, count)
             assert [b.to_int() for b in got] == want
 
+    def test_sparse_value_allocates_only_its_digits(self):
+        # 10**4 blocks of 10**4 digits span 10**8 digits, of which one is
+        # present: the zero blocks above it cost a list slot each.
+        tracemalloc.start()
+        try:
+            blocks = rowgen.partition_blocks(BigNat(7), 10**4, 10**4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert blocks == [BigNat(7)] + [BigNat(0)] * (10**4 - 1)
+        assert peak < 10**6
+
     def test_inverse_of_from_blocks(self):
         # Blocks below 10**width are cut back out exactly as they went in.
         rng = random.Random(161803)
@@ -153,6 +166,16 @@ class TestRowViaPower:
             assert [c.to_int() for c in row.coefficients] == [
                 comb(n, k) for k in range(n + 1)
             ]
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 1810])
+    def test_rows_either_side_of_the_cut_chunk(self, n):
+        # n + 1 = 256, 257 and 258 blocks: exactly two 128-block chunks of
+        # the cut, then one and two blocks past them. 1810 is the
+        # benchmark's million-digit row.
+        row = rowgen.row_via_power(n)
+        assert [c.to_int() for c in row.coefficients] == [
+            comb(n, k) for k in range(n + 1)
+        ]
 
     def test_blocks_stay_below_width_bound(self):
         for n in (0, 5, 9, 33, 80):

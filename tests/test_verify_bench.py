@@ -99,15 +99,21 @@ class TestVerifyRange:
 
     def test_rows_before_range_not_converted(self, monkeypatch):
         # The additive oracle steps its limb matrix up to n_from and turns
-        # only the checked rows into BigNat coefficients.
+        # only the checked rows into BigNat coefficients, one conversion per
+        # row. Counted at the oracle's own reference: the power rows' block
+        # cut converts limb matrices too.
         converted = []
-        original = BigNat.from_limbs
-        monkeypatch.setattr(
-            BigNat, "from_limbs", lambda limbs: converted.append(1) or original(limbs)
-        )
+
+        class CountingBigNat(BigNat):
+            @staticmethod
+            def from_limb_rows(matrix):
+                converted.append(len(matrix))
+                return BigNat.from_limb_rows(matrix)
+
+        monkeypatch.setattr(oracle, "BigNat", CountingBigNat)
         report = verify_range(150, 152, checks=["row_equality"])
         assert report.passed
-        assert len(converted) == 151 + 152 + 153
+        assert converted == [151, 152, 153]
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError, match="unknown check"):
@@ -283,7 +289,10 @@ class TestVerifyRangeParallel:
     def test_spans_balance_the_weight(self):
         spans = verify_bench._balanced_spans(0, 300, 8)
         assert len(spans) == 8
-        weights = [sum((n + 1) ** 2 for n in range(lo, hi + 1)) for lo, hi in spans]
+        weights = [
+            sum((n + 1) ** 2 + verify_bench._ROW_COST_OFFSET for n in range(lo, hi + 1))
+            for lo, hi in spans
+        ]
         assert max(weights) < 1.3 * sum(weights) / 8
 
 
