@@ -25,29 +25,18 @@ _ONE = BigNat(1)
 
 def binomial(n: int, k: int) -> BigNat:
     """Exact C(n, k) via the multiplicative recurrence."""
-    if n < 0 or k < 0 or k > n:
+    if not 0 <= k <= n:
         raise ValueError(f"binomial needs 0 <= k <= n, got n={n} k={k}")
-    if n >= RADIX:
-        raise ValueError(f"row index {n} too large for scalar recurrence steps")
-    k = min(k, n - k)
-    value = _ONE
-    for j in range(k):
-        value = _exact_step(value, n - j, j + 1)
+    for value in _multiplicative(n, min(k, n - k)):
+        pass
     return value
 
 
 def row_multiplicative(n: int) -> Row:
     """Whole row in one left-to-right pass of the multiplicative recurrence."""
-    if n < 0:
-        raise ValueError(f"row index must be >= 0, got {n}")
-    if n >= RADIX:
-        raise ValueError(f"row index {n} too large for scalar recurrence steps")
-    coefficients = [_ONE]
-    value = _ONE
-    for j in range(n):
-        value = _exact_step(value, n - j, j + 1)
-        coefficients.append(value)
-    return Row(n=n, coefficients=tuple(coefficients), method=Method.MULTIPLICATIVE)
+    return Row(
+        n=n, coefficients=tuple(_multiplicative(n, n)), method=Method.MULTIPLICATIVE
+    )
 
 
 def iter_recurrence_rows(start: int = 0) -> Iterator[Row]:
@@ -87,13 +76,23 @@ def central_digit_count(n: int) -> int:
     return binomial(n, n // 2).digit_count()
 
 
-def _exact_step(value: BigNat, numerator: int, denominator: int) -> BigNat:
-    quotient, remainder = value.mul_small(numerator).divmod_small(denominator)
-    if remainder:
-        raise ArithmeticError(
-            f"inexact division by {denominator} in binomial recurrence"
-        )
-    return quotient
+def _multiplicative(n: int, k: int) -> Iterator[BigNat]:
+    # C(n, 0), C(n, 1), ..., C(n, k) by C(n, j+1) = C(n, j) * (n-j) / (j+1),
+    # every division exact. binomial and row_multiplicative are this one
+    # recurrence run to k and to n, so its guards on n live here alone.
+    if n < 0:
+        raise ValueError(f"row index must be >= 0, got {n}")
+    if n >= RADIX:
+        raise ValueError(f"row index {n} too large for scalar recurrence steps")
+    value = _ONE
+    yield value
+    for j in range(k):
+        value, remainder = value.mul_small(n - j).divmod_small(j + 1)
+        if remainder:
+            raise ArithmeticError(
+                f"inexact division by {j + 1} in binomial recurrence"
+            )
+        yield value
 
 
 def _next_limb_matrix(matrix: np.ndarray) -> np.ndarray:

@@ -50,15 +50,13 @@ class ResidueMismatchError(ArithmeticError):
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def theta(n: int) -> ThetaResult:
     """Zeros to insert between the ones of eleven so row n fits its blocks.
 
     Exactly one less than the digit count of C(n, n // 2), computed from
     the coefficient itself so there is no rounding boundary to guard.
     """
-    if n < 0:
-        raise ValueError(f"row index must be >= 0, got {n}")
     width = oracle.central_digit_count(n)
     return ThetaResult(n=n, theta=width - 1, block_width=width)
 
@@ -68,7 +66,7 @@ def eleven_variant(geometry: ThetaResult) -> BigNat:
     return pow10(geometry.block_width) + _ONE
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def power_integer(n: int) -> BigNat:
     """(10**(theta+1) + 1)**n, the integer whose digit blocks hold row n."""
     return eleven_variant(theta(n)).pow(n)
@@ -134,29 +132,34 @@ class Residue:
 
     def checked(self) -> "Residue":
         """Self, or ResidueMismatchError if the remainder differs from the sum."""
-        if self.remainder != self.truncated_sum:
-            raise ResidueMismatchError(
-                n=self.n,
-                r=self.r,
-                expected=str(self.truncated_sum),
-                actual=str(self.remainder),
-            )
+        if mismatch := self.mismatch:
+            raise ResidueMismatchError(self.n, self.r, *mismatch)
         return self
 
+    @property
+    def mismatch(self) -> tuple[str, str] | None:
+        """(expected, actual) as decimal text if the remainder is not the sum."""
+        if self.remainder == self.truncated_sum:
+            return None
+        return str(self.truncated_sum), str(self.remainder)
 
-def residues(n: int, rs: Sequence[int]) -> Iterator[Residue]:
+
+def residues(oracle_row: Row, rs: Sequence[int]) -> Iterator[Residue]:
     """Both sides of the residue identity for each block count in `rs`.
 
-    `rs` must be ascending. The truncated sums come from one prefix pass
-    over the oracle row's coefficients, so every block is laid down once
-    per row however many block counts are sampled.
+    `oracle_row` is the multiplicative oracle's row n, built by the caller
+    for as long as it checks that row. `rs` must be ascending. The
+    truncated sums come from one prefix pass over its coefficients, so
+    every block is laid down once per row however many block counts are
+    sampled.
     """
+    n = oracle_row.n
     width = theta(n).block_width
     for r in rs:
         if not 1 <= r <= n + 1:
             raise ValueError(f"block count r={r} outside 1..{n + 1} for row {n}")
     power = power_integer(n)
-    sums = BigNat.from_block_prefixes(oracle_row(n).coefficients, width, rs)
+    sums = BigNat.from_block_prefixes(oracle_row.coefficients, width, rs)
     for r, truncated_sum in zip(rs, sums):
         yield Residue(
             n=n,
@@ -169,7 +172,7 @@ def residues(n: int, rs: Sequence[int]) -> Iterator[Residue]:
 
 def residue(n: int, r: int) -> Residue:
     """Both sides of the r-block residue identity for row n, each built once."""
-    return next(residues(n, (r,)))
+    return next(residues(oracle.row_multiplicative(n), (r,)))
 
 
 def residue_partial_sum(n: int, r: int) -> BigNat:
@@ -195,14 +198,12 @@ def lemma1_bound_check(n: int, r: int) -> bool:
 
 
 def clear_caches() -> None:
-    """Drop memoized geometry, powers and oracle rows (used by benchmarks)."""
+    """Drop the memoized geometry and power (used by benchmarks and tests).
+
+    Each cache holds one row, the last one asked for: it serves the several
+    reads of the row in hand and nothing older. Clearing makes the next
+    call pay full cost.
+    """
     theta.cache_clear()
     power_integer.cache_clear()
-    oracle_row.cache_clear()
-
-
-@lru_cache(maxsize=4)
-def oracle_row(n: int) -> Row:
-    """The multiplicative oracle's row n, shared by every check on that row."""
-    return oracle.row_multiplicative(n)
 

@@ -126,7 +126,7 @@ def verify_range(
             found[name] += _ROW_CHECKS[name](facts)
         if block_checks:
             rs = _sample_r_values(n, residue_samples, seed)
-            for residue in rowgen.residues(n, rs):
+            for residue in rowgen.residues(facts.oracle_row, rs):
                 for name in block_checks:
                     found[name] += _BLOCK_CHECKS[name](facts, residue)
         report.results.append(
@@ -380,7 +380,12 @@ def _sample_r_values(n: int, residue_samples: int, seed: int) -> list[int]:
 
 
 class _RowFacts:
-    """What the checks read about row n; each fact is built on first use, once."""
+    """What the checks read about row n; each fact is built on first use, once.
+
+    The facts live as long as the row. Nothing built for row n outlives
+    it except the one-row caches of rowgen.theta and rowgen.power_integer,
+    which the next row replaces.
+    """
 
     def __init__(self, n: int, additive_row: Row | None):
         self.n = n
@@ -393,7 +398,7 @@ class _RowFacts:
 
     @cached_property
     def oracle_row(self) -> Row:
-        return rowgen.oracle_row(self.n)
+        return oracle.row_multiplicative(self.n)
 
 
 # Each check yields (r, expected, actual) per failing case and nothing when
@@ -421,13 +426,13 @@ def _digit_length(facts):
 
 
 def _residue_identity(facts, residue):
-    if residue.remainder != residue.truncated_sum:
-        yield residue.r, str(residue.truncated_sum), str(residue.remainder)
+    if mismatch := residue.mismatch:
+        yield residue.r, *mismatch
 
 
 def _leading_block(facts, residue):
-    if residue.remainder != residue.truncated_sum:
-        yield residue.r, str(residue.truncated_sum), str(residue.remainder)
+    if mismatch := residue.mismatch:
+        yield residue.r, *mismatch
         return
     got = residue.leading_block
     want = facts.oracle_row.coefficients[residue.r - 1]

@@ -79,6 +79,14 @@ class TestRowCommand:
         assert code == 2
         assert "error" in err
 
+    def test_index_past_the_scalar_steps_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "row", "10000000")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "pascalrow: error: row index 10000000 too large for scalar recurrence steps\n"
+        )
+
     def test_non_numeric_index_is_usage_error(self, capsys):
         code, _, err = run(capsys, "row", "abc")
         assert code == 2
@@ -175,6 +183,9 @@ class TestVerifyCommand:
 
     def test_threshold_two_gives_the_same_report(self, capsys):
         expected = serial_report(30, 90, "csv", seed=7)
+        # The reference leaves its last row's power cached; forked workers
+        # would inherit it and never build that row under threshold 2.
+        rowgen.clear_caches()
         code, out, _ = run(
             capsys, "--karatsuba-threshold", "2", "verify", "--from", "30",
             "--to", "90", "--seed", "7", "--format", "csv",

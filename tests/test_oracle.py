@@ -43,6 +43,29 @@ class TestBinomial:
             )
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: oracle.binomial(-1, 0), "binomial needs 0 <= k <= n, got n=-1 k=0"),
+        (lambda: oracle.binomial(10**7, 0), "row index 10000000 too large for scalar recurrence steps"),
+        (lambda: oracle.row_multiplicative(-1), "row index must be >= 0, got -1"),
+        (lambda: oracle.row_multiplicative(10**7), "row index 10000000 too large for scalar recurrence steps"),
+        (lambda: oracle.central_digit_count(-1), "row index must be >= 0, got -1"),
+        (lambda: oracle.central_digit_count(10**7), "row index 10000000 too large for scalar recurrence steps"),
+    ],
+    ids=[
+        "binomial-negative", "binomial-too-large",
+        "row_multiplicative-negative", "row_multiplicative-too-large",
+        "central_digit_count-negative", "central_digit_count-too-large",
+    ],
+)  # fmt: skip
+def test_guard_messages(call, message):
+    # The guards refuse up front: no step is taken at n = 10**7.
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 class TestRowMultiplicative:
     def test_small_rows(self):
         assert [c.to_int() for c in oracle.row_multiplicative(2).coefficients] == [1, 2, 1]

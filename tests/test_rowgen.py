@@ -31,6 +31,18 @@ class TestTheta:
         with pytest.raises(ValueError):
             rowgen.theta(-1)
 
+    @pytest.mark.parametrize(
+        "n,message",
+        [
+            (-1, "row index must be >= 0, got -1"),
+            (10**7, "row index 10000000 too large for scalar recurrence steps"),
+        ],
+    )
+    def test_guard_messages(self, n, message):
+        with pytest.raises(ValueError) as excinfo:
+            rowgen.theta(n)
+        assert str(excinfo.value) == message
+
 
     def test_math_comb_oracle(self):
         # math.comb shares nothing with oracle.binomial, from which theta is built.
@@ -214,8 +226,8 @@ class TestResiduePartialSum:
         coefficients = list(broken.coefficients)
         coefficients[1] = BigNat(8)
         monkeypatch.setattr(
-            rowgen,
-            "oracle_row",
+            oracle,
+            "row_multiplicative",
             lambda n: type(broken)(n=9, coefficients=tuple(coefficients), method=broken.method),
         )
         with pytest.raises(rowgen.ResidueMismatchError) as excinfo:
@@ -261,6 +273,19 @@ def test_weighted_sum_is_power_of_eleven():
         for coefficient in reversed(oracle.row_multiplicative(n).coefficients):
             total = total.mul_small(10) + coefficient
         assert total == BigNat(11).pow(n)
+
+
+def test_caches_hold_the_last_row_only():
+    # Eight rows in turn leave one geometry and one power behind, those of
+    # the last row; asking for it again is a hit.
+    rowgen.clear_caches()
+    for n in range(40, 48):
+        rowgen.row_via_power(n)
+    assert rowgen.theta.cache_info().currsize == 1
+    assert rowgen.power_integer.cache_info().currsize == 1
+    hits = rowgen.power_integer.cache_info().hits
+    assert rowgen.power_integer(47) == rowgen.eleven_variant(rowgen.theta(47)).pow(47)
+    assert rowgen.power_integer.cache_info().hits == hits + 1
 
 
 def test_clear_caches_leaves_results_unchanged():

@@ -97,6 +97,23 @@ class TestVerifyRange:
             "binomial": 41,
         }
 
+    def test_warm_sweep_reads_the_oracle_it_is_given(self, monkeypatch):
+        # A sweep keeps no oracle row past the row it checks: after a passing
+        # sweep over 5..6, an oracle with C(n, 1) off by one must fail the
+        # same sweep run again in the same process.
+        assert verify_range(5, 6).passed
+        make = oracle.row_multiplicative
+
+        def bumped(n):
+            first, second, *rest = make(n).coefficients
+            return Row(n, (first, second + BigNat(1), *rest), Method.MULTIPLICATIVE)
+
+        monkeypatch.setattr(oracle, "row_multiplicative", bumped)
+        report = verify_range(5, 6)
+        failing = {"row_equality", "residue_identity", "leading_block", "weighted_sum_11"}
+        for result in report.results:
+            assert result.checks == {name: name not in failing for name in CHECK_NAMES}
+
     def test_rows_before_range_not_converted(self, monkeypatch):
         # The additive oracle steps its limb matrix up to n_from and turns
         # only the checked rows into BigNat coefficients, one conversion per
@@ -160,24 +177,26 @@ class TestVerifyRange:
         assert failure.expected != failure.actual
 
     @pytest.mark.parametrize(
-        "maker,failing,expected,actual",
+        "owner,maker,failing,expected,actual",
         [
-            ("row_via_power", "row_sum", 2**6, 2**6 + 1),
-            ("oracle_row", "weighted_sum_11", 11**6, 11**6 + 100),
+            (rowgen, "row_via_power", "row_sum", 2**6, 2**6 + 1),
+            (oracle, "row_multiplicative", "weighted_sum_11", 11**6, 11**6 + 100),
         ],
         ids=["row_sum", "weighted_sum_11"],
     )
-    def test_row_read_at_one_and_ten(self, monkeypatch, maker, failing, expected, actual):
+    def test_row_read_at_one_and_ten(
+        self, monkeypatch, owner, maker, failing, expected, actual
+    ):
         # C(6, 2) off by one in the power row moves its sum off 2**6; in the
         # oracle row it moves the row read at x = 10 off 11**6.
-        make = getattr(rowgen, maker)
+        make = getattr(owner, maker)
 
         def bumped(n):
             coefficients = list(make(n).coefficients)
             coefficients[2] = coefficients[2] + BigNat(1)
             return Row(n, tuple(coefficients), Method.POWER_PARTITION)
 
-        monkeypatch.setattr(rowgen, maker, bumped)
+        monkeypatch.setattr(owner, maker, bumped)
         result = verify_range(6, 6, checks=["row_sum", "weighted_sum_11"]).results[0]
         assert result.checks == {
             name: name != failing for name in ("row_sum", "weighted_sum_11")
