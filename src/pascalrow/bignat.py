@@ -8,7 +8,8 @@ instead of a division loop, which is the hot operation downstream.
 ``from_blocks`` is its inverse: it lays the blocks at their digit offsets
 and adds them, carries included, so callers work in digits and blocks and
 never in limbs. At width 0 every block sits at offset 0, which is the
-plain sum. ``from_block_prefixes`` lays the blocks down once and yields
+plain sum: addition is ``from_blocks`` of the two terms at width 0.
+``from_block_prefixes`` lays the blocks down once and yields
 that sum at each of several cuts; ``from_blocks`` is its single-cut case.
 ``to_blocks`` works in numpy a chunk of blocks at a time, digits to a
 limb matrix with no text in between, and ends in ``from_limb_rows``, the
@@ -16,8 +17,9 @@ matrix counterpart of ``from_limbs``: one range check over a whole limb
 matrix, then one number per row.
 
 Column sums become limbs in one place: a single exact carry pass over
-Python-int columns. It finishes addition, the schoolbook product,
-``from_blocks`` and the top-level normalisation of the Karatsuba product.
+Python-int columns. It finishes ``from_blocks`` (and so addition), the
+schoolbook product and the top-level normalisation of the Karatsuba
+product.
 The scalar steps ``mul_small`` and ``divmod_small`` keep their own loops:
 they are the independent steps of the multiplicative oracle.
 
@@ -238,26 +240,7 @@ class BigNat:
         since the previous cut are carried, so the carry work is linear in
         the blocks, not in the sum of the cuts.
         """
-        if width < 0:
-            raise ValueError(f"block width must be >= 0, got {width}")
-        columns = []
-        done = 0
-        for cut in cuts:
-            if not done <= cut <= len(blocks):
-                raise ValueError(
-                    f"cut {cut} out of order or beyond {len(blocks)} blocks"
-                )
-            start = done * width // RADIX_DIGITS
-            for i in range(done, cut):
-                whole, part = divmod(i * width, RADIX_DIGITS)
-                scale = 10**part
-                limbs = blocks[i]._limbs
-                if len(columns) < whole + len(limbs):
-                    columns += [0] * (whole + len(limbs) - len(columns))
-                for j, limb in enumerate(limbs, whole):
-                    columns[j] += limb * scale
-            done = cut
-            yield cls._raw(_carried(columns, start))
+        return _block_sums(blocks, width, cuts)
 
     @classmethod
     def from_decimal(cls, text: str) -> "BigNat":
@@ -351,13 +334,9 @@ class BigNat:
     def __add__(self, other: "BigNat") -> "BigNat":
         if not isinstance(other, BigNat):
             return NotImplemented
-        a, b = self._limbs, other._limbs
-        if len(a) < len(b):
-            a, b = b, a
-        columns = list(a)
-        for i, limb in enumerate(b):
-            columns[i] += limb
-        return BigNat._raw(_carried(columns))
+        # from_blocks((self, other), 0), taken from the builder itself: a sum
+        # of two numbers is not one of the block sums a row's checks build.
+        return next(_block_sums((self, other), 0, (2,)))
 
     def __mul__(self, other: "BigNat") -> "BigNat":
         if not isinstance(other, BigNat):
@@ -479,6 +458,33 @@ def _product(a: BigNat, b: BigNat, subquadratic: bool) -> BigNat:
         return _ZERO
     kernel = _mul_subquadratic_limbs if subquadratic else _mul_quadratic_limbs
     return BigNat._raw(kernel(a._limbs, b._limbs))
+
+
+def _block_sums(
+    blocks: Sequence[BigNat], width: int, cuts: Iterable[int]
+) -> Iterator[BigNat]:
+    # The one column builder, behind from_block_prefixes (and so
+    # from_blocks) and +.
+    if width < 0:
+        raise ValueError(f"block width must be >= 0, got {width}")
+    columns = []
+    done = 0
+    for cut in cuts:
+        if not done <= cut <= len(blocks):
+            raise ValueError(
+                f"cut {cut} out of order or beyond {len(blocks)} blocks"
+            )
+        start = done * width // RADIX_DIGITS
+        for i in range(done, cut):
+            whole, part = divmod(i * width, RADIX_DIGITS)
+            scale = 10**part
+            limbs = blocks[i]._limbs
+            if len(columns) < whole + len(limbs):
+                columns += [0] * (whole + len(limbs) - len(columns))
+            for j, limb in enumerate(limbs, whole):
+                columns[j] += limb * scale
+        done = cut
+        yield BigNat._raw(_carried(columns, start))
 
 
 def _trimmed(limbs) -> tuple:

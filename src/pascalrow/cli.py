@@ -9,13 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bignat, rowgen, verify_bench
 from .row import Method
-
-THRESHOLD_ENV_VAR = "PASCAL_KARATSUBA_THRESHOLD"
 
 _METHOD_FLAGS = {
     "power": Method.POWER_PARTITION,
@@ -39,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "operand size at which multiplication switches to the "
-            f"subquadratic path (>= 2; overrides ${THRESHOLD_ENV_VAR})"
+            "subquadratic path (>= 2)"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -48,6 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     row.add_argument("n", type=int)
     row.add_argument("--method", choices=sorted(_METHOD_FLAGS), default="power")
     row.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
+    row.set_defaults(run=_cmd_row)
 
     power = sub.add_parser("power", help="print (10**(theta+1) + 1)**n")
     power.add_argument("n", type=int)
@@ -56,9 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="separate the theta+1 wide digit blocks with '|'",
     )
+    power.set_defaults(run=_cmd_power)
 
     theta = sub.add_parser("theta", help="print the block geometry for row n")
     theta.add_argument("n", type=int)
+    theta.set_defaults(run=_cmd_theta)
 
     verify = sub.add_parser("verify", help="run the check families over a range of n")
     verify.add_argument("--from", dest="n_from", type=int, required=True, metavar="A")
@@ -73,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0, metavar="S")
     verify.add_argument("--format", choices=("csv", "jsonl"), default="jsonl")
     verify.add_argument("--out", default=None, metavar="FILE")
+    verify.set_defaults(run=_cmd_verify)
 
     bench = sub.add_parser("bench", help="time the three generation methods")
     bench.add_argument("--from", dest="n_from", type=int, required=True, metavar="A")
@@ -80,6 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--step", type=int, default=1, metavar="S")
     bench.add_argument("--reps", type=int, default=1, metavar="R")
     bench.add_argument("--out", default=None, metavar="FILE")
+    bench.set_defaults(run=_cmd_bench)
 
     return parser
 
@@ -91,16 +93,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        _apply_threshold(args.karatsuba_threshold)
-        if args.command == "row":
-            return _cmd_row(args)
-        if args.command == "power":
-            return _cmd_power(args)
-        if args.command == "theta":
-            return _cmd_theta(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_bench(args)
+        if args.karatsuba_threshold is not None:
+            bignat.set_karatsuba_threshold(args.karatsuba_threshold)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"pascalrow: error: {exc}", file=sys.stderr)
         return 2
@@ -108,22 +103,6 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
-
-
-def _apply_threshold(flag_value: int | None) -> None:
-    if flag_value is not None:
-        bignat.set_karatsuba_threshold(flag_value)
-        return
-    env_value = os.environ.get(THRESHOLD_ENV_VAR)
-    if env_value is None:
-        return
-    try:
-        parsed = int(env_value)
-    except ValueError:
-        raise ValueError(
-            f"${THRESHOLD_ENV_VAR} must be an integer >= 2, got {env_value!r}"
-        ) from None
-    bignat.set_karatsuba_threshold(parsed)
 
 
 def _cmd_row(args) -> int:

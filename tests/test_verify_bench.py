@@ -437,14 +437,10 @@ class TestEmitReport:
         assert lines[1] == "3,0,true,true"
         assert lines[2] == "4,0,true,true"
 
-    def test_jsonlines_alias(self):
-        buffer = io.StringIO()
-        emit_report([], "jsonlines", buffer)
-        assert buffer.getvalue() == ""
-
-    def test_unknown_format_rejected(self):
+    @pytest.mark.parametrize("fmt", ["xml", "jsonlines"])
+    def test_unknown_format_rejected(self, fmt):
         with pytest.raises(ValueError, match="format"):
-            emit_report([], "xml")
+            emit_report([], fmt)
 
     def test_path_destination(self, tmp_path):
         target = tmp_path / "report.csv"
