@@ -7,6 +7,24 @@ construction, two independent oracles, a verification sweep and a
 benchmark harness around that fact.
 """
 
+import os as _os
+import sys as _sys
+
+# pascalrow makes no BLAS call: its numpy work is int64 convolve, integer
+# divmod and a uint8 x uint32 matmul, all numpy's own loops. Yet numpy's
+# bundled OpenBLAS starts a helper thread per extra CPU at import, and each
+# spins for its default 2**28 cycles before it sleeps: about a third of a
+# small request's CPU. The shortest timeout removes the spin and, unlike
+# OPENBLAS_NUM_THREADS=1, leaves a library caller's BLAS multithreaded. The
+# variable is read once, when numpy loads OpenBLAS, so it is removed again
+# at once, and a caller's own value or earlier numpy import is left alone.
+if "numpy" not in _sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in _os.environ:
+    _os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_THREAD_TIMEOUT"]
+
 from .bignat import (
     BigNat,
     DEFAULT_KARATSUBA_THRESHOLD,
