@@ -39,29 +39,33 @@ def row_multiplicative(n: int) -> Row:
     )
 
 
-def iter_recurrence_rows(start: int = 0) -> Iterator[Row]:
-    """Yield rows start, start + 1, ... by summing adjacent elements.
+def iter_recurrence_rows(start: int = 0, step: int = 1) -> Iterator[Row]:
+    """Yield rows start, start + step, start + 2*step, ... by the additive rule.
 
-    The rows are stepped as int64 limb matrices (see _next_limb_matrix) with
-    additions and carries only; a row becomes BigNat coefficients only when
-    it is yielded, so rows before `start` are never converted. Sweeps over
-    many consecutive rows should consume this iterator rather than call
-    row_recurrence per index, which restarts from the apex.
+    Every row from the apex on is stepped as an int64 limb matrix (see
+    _next_limb_matrix) with additions and carries only; a row becomes
+    BigNat coefficients only when it is yielded, so rows before `start`
+    and between yields are never converted. Sweeps over many rows should
+    consume this iterator rather than call row_recurrence per index, which
+    restarts from the apex.
     """
     if start < 0:
         raise ValueError(f"row index must be >= 0, got {start}")
+    if step < 1:
+        raise ValueError(f"step must be >= 1, got {step}")
     # Row n as an (n+1) x L int64 matrix, one base-RADIX coefficient per
     # matrix row, least significant limb first.
     matrix = np.ones((1, 1), dtype=np.int64)
     for _ in range(start):
         matrix = _next_limb_matrix(matrix)
-    for n in count(start):
+    for n in count(start, step):
         yield Row(
             n=n,
             coefficients=tuple(BigNat.from_limb_rows(matrix)),
             method=Method.RECURRENCE,
         )
-        matrix = _next_limb_matrix(matrix)
+        for _ in range(step):
+            matrix = _next_limb_matrix(matrix)
 
 
 def row_recurrence(n: int) -> Row:

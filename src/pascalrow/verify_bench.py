@@ -3,8 +3,9 @@
 verify_range runs every enabled check family for each n in a range and
 returns structured pass/fail data; failures are data, not exceptions, and
 carry enough detail to reproduce the failing case standalone.
-verify_range_parallel gives the same report with contiguous sub-ranges
-checked by verify_range in forked worker processes, one per CPU.
+verify_range_parallel gives the same report with the rows dealt
+round-robin to forked worker processes, one per CPU; verify_range and the
+workers run the same row loop.
 bench_methods times the three row generators against each other with an
 instrumented multiplication counter. emit_report serializes either result
 to CSV or JSON lines.
@@ -106,42 +107,8 @@ def verify_range(
     timings play no part in it.
     """
     selected = _validated_sweep(n_from, n_to, checks, residue_samples)
-    report = VerifyReport(
-        n_from=n_from,
-        n_to=n_to,
-        seed=seed,
-        residue_samples=residue_samples,
-        checks=selected,
-    )
-    row_checks = [name for name in selected if name in _ROW_CHECKS]
-    block_checks = [name for name in selected if name in _BLOCK_CHECKS]
-    additive_rows = None
-    if "row_equality" in selected:
-        additive_rows = oracle.iter_recurrence_rows(n_from)
-
-    for n in range(n_from, n_to + 1):
-        facts = _RowFacts(n, next(additive_rows) if additive_rows else None)
-        found: dict[str, list] = {name: [] for name in selected}
-        for name in row_checks:
-            found[name] += _ROW_CHECKS[name](facts)
-        if block_checks:
-            rs = _sample_r_values(n, residue_samples, seed)
-            for residue in rowgen.residues(facts.oracle_row, rs):
-                for name in block_checks:
-                    found[name] += _BLOCK_CHECKS[name](facts, residue)
-        report.results.append(
-            RowVerification(
-                n=n,
-                theta=facts.geometry.theta,
-                checks={name: not found[name] for name in selected},
-                failures=[
-                    CheckFailure(check=name, n=n, r=r, expected=expected, actual=actual)
-                    for name in selected
-                    for r, expected, actual in found[name]
-                ],
-            )
-        )
-    return report
+    results = _check_rows(n_from, n_to, 1, selected, residue_samples, seed)
+    return VerifyReport(n_from, n_to, seed, residue_samples, selected, results)
 
 
 def verify_range_parallel(
@@ -153,54 +120,40 @@ def verify_range_parallel(
 ) -> VerifyReport:
     """verify_range(n_from, n_to, ...), with the rows checked in parallel.
 
-    Row n depends on n alone, so [n_from, n_to] is cut into contiguous
-    sub-ranges of about equal estimated work, more of them than workers.
-    verify_range checks them in a pool of forked processes, one per CPU
-    this process may run on, largest n first; their results are
-    concatenated in n order. The report is the one verify_range returns,
-    whatever the number of CPUs. Arguments are validated before any
-    process starts. Workers inherit the parent's module state through the
-    fork, the multiplication threshold included. A worker that dies
-    raises ChildProcessError naming the rows left unchecked.
+    Row n depends on n alone, so the rows are dealt round-robin to k
+    forked worker processes, k = min(CPUs this process may run on, rows):
+    worker i checks rows n_from + i, n_from + i + k, ... as one task. The
+    parent merges their results by n, so the report is the one
+    verify_range returns, whatever k is. Arguments are validated before
+    any process starts. Workers inherit the parent's module state through
+    the fork, the multiplication threshold included. A worker that dies
+    raises ChildProcessError: no report is written, so the message names
+    the whole range.
     """
     # Imported here: the pool costs start-up time no other command needs.
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     selected = _validated_sweep(n_from, n_to, checks, residue_samples)
-    cpus = len(os.sched_getaffinity(0))
-    spans = _balanced_spans(n_from, n_to, _SPANS_PER_WORKER * cpus)
-    pool = ProcessPoolExecutor(
-        max_workers=min(cpus, len(spans)),
-        mp_context=multiprocessing.get_context("fork"),
-    )
-    try:
-        futures = {
-            span: pool.submit(verify_range, *span, selected, residue_samples, seed)
-            for span in reversed(spans)
-        }
+    workers = min(len(os.sched_getaffinity(0)), n_to - n_from + 1)
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+        tasks = [
+            pool.submit(
+                _check_rows, first, n_to, workers, selected, residue_samples, seed
+            )
+            for first in range(n_from, n_from + workers)
+        ]
         try:
-            parts = [futures[span].result() for span in spans]
+            parts = [task.result() for task in tasks]
         except BrokenProcessPool:
-            wait(futures.values())
-            lost = [span for span, future in futures.items() if future.exception()]
             raise ChildProcessError(
-                "a verify worker process died; rows "
-                + ", ".join(f"{lo}..{hi}" for lo, hi in _merged(sorted(lost)))
-                + " were not checked"
+                f"a verify worker process died; rows {n_from}..{n_to} were not checked"
             ) from None
-    finally:
-        pool.shutdown(cancel_futures=True)
 
-    return VerifyReport(
-        n_from=n_from,
-        n_to=n_to,
-        seed=seed,
-        residue_samples=residue_samples,
-        checks=selected,
-        results=[result for part in parts for result in part.results],
-    )
+    results = sorted((row for part in parts for row in part), key=lambda row: row.n)
+    return VerifyReport(n_from, n_to, seed, residue_samples, selected, results)
 
 
 def bench_methods(
@@ -302,54 +255,45 @@ def _validated_sweep(
     return _validated_checks(checks)
 
 
-#: Sub-ranges per worker: with more spans than workers, a span that runs
-#: slower than estimated does not leave the other workers idle at the end.
-_SPANS_PER_WORKER = 4
+def _check_rows(
+    first: int,
+    last: int,
+    step: int,
+    selected: tuple[str, ...],
+    residue_samples: int,
+    seed: int,
+) -> list[RowVerification]:
+    """Check rows first, first + step, ... up to last, with validated arguments."""
+    row_checks = [name for name in selected if name in _ROW_CHECKS]
+    block_checks = [name for name in selected if name in _BLOCK_CHECKS]
+    additive_rows = None
+    if "row_equality" in selected:
+        additive_rows = oracle.iter_recurrence_rows(first, step)
 
-
-#: A row's fixed cost in units of its (n + 1)**2 digit work: the checks,
-#: oracle steps and conversions every row pays whatever its size. Fitted
-#: as t(n) = a * ((n + 1)**2 + K) by least squares, relative error, to
-#: per-row times measured inside 0..300 sweeps (K about 3000 serially,
-#: 2900 in forked workers).
-_ROW_COST_OFFSET = 3000
-
-
-def _balanced_spans(n_from: int, n_to: int, count: int) -> list[tuple[int, int]]:
-    """Cut [n_from, n_to] into at most `count` contiguous (lo, hi) spans.
-
-    Each carries about the same estimated work, taking a row's cost as
-    (n + 1)**2 + _ROW_COST_OFFSET: the square is the row's digit work
-    (n + 1 blocks of about n / 3 digits), the constant its fixed cost.
-    Without the constant the span of the smallest rows, run last, was the
-    longest, and one worker idled at the end. Only the speed depends on
-    the cut.
-    """
-
-    def cost(n: int) -> int:
-        return (n + 1) ** 2 + _ROW_COST_OFFSET
-
-    total = sum(map(cost, range(n_from, n_to + 1)))
-    spans = []
-    lo, done = n_from, 0
-    for n in range(n_from, n_to):
-        done += cost(n)
-        if done * count >= total * (len(spans) + 1):
-            spans.append((lo, n))
-            lo = n + 1
-    spans.append((lo, n_to))
-    return spans
-
-
-def _merged(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Join sorted (lo, hi) spans that touch into one."""
-    out = [spans[0]]
-    for lo, hi in spans[1:]:
-        if lo == out[-1][1] + 1:
-            out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
+    results = []
+    for n in range(first, last + 1, step):
+        facts = _RowFacts(n, next(additive_rows) if additive_rows else None)
+        found: dict[str, list] = {name: [] for name in selected}
+        for name in row_checks:
+            found[name] += _ROW_CHECKS[name](facts)
+        if block_checks:
+            rs = _sample_r_values(n, residue_samples, seed)
+            for residue in rowgen.residues(facts.oracle_row, rs):
+                for name in block_checks:
+                    found[name] += _BLOCK_CHECKS[name](facts, residue)
+        results.append(
+            RowVerification(
+                n=n,
+                theta=facts.geometry.theta,
+                checks={name: not found[name] for name in selected},
+                failures=[
+                    CheckFailure(check=name, n=n, r=r, expected=expected, actual=actual)
+                    for name in selected
+                    for r, expected, actual in found[name]
+                ],
+            )
+        )
+    return results
 
 
 def _validated_checks(checks: Sequence[str] | None) -> tuple[str, ...]:

@@ -154,11 +154,33 @@ class TestRowRecurrence:
         oracle.row_recurrence(200)
         assert converted == [201]
 
+    def test_iterator_step(self):
+        rows = list(islice(oracle.iter_recurrence_rows(3, 4), 5))
+        assert rows == [oracle.row_recurrence(n) for n in (3, 7, 11, 15, 19)]
+
+    def test_strided_rows_between_yields_not_converted(self, monkeypatch):
+        # Every row is stepped, but only the yielded ones are converted.
+        converted = []
+        original = BigNat.from_limb_rows
+        monkeypatch.setattr(
+            BigNat,
+            "from_limb_rows",
+            lambda matrix: converted.append(len(matrix)) or original(matrix),
+        )
+        rows = list(islice(oracle.iter_recurrence_rows(150, 7), 3))
+        assert [row.n for row in rows] == [150, 157, 164]
+        assert converted == [151, 158, 165]
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             oracle.row_recurrence(-1)
         with pytest.raises(ValueError):
             next(oracle.iter_recurrence_rows(-1))
+
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_rejects_step_below_one(self, step):
+        with pytest.raises(ValueError):
+            next(oracle.iter_recurrence_rows(0, step))
 
 
 def test_oracles_cross_agree():

@@ -17,7 +17,6 @@ from pascalrow.verify_bench import (
     CHECK_NAMES,
     BenchRecord,
     RowVerification,
-    VerifyReport,
     bench_methods,
     emit_report,
     verify_range,
@@ -34,16 +33,13 @@ def _emitted(report):
     return texts
 
 
-def _threshold_probe(n_from, n_to, checks, residue_samples, seed):
-    # Stands in for verify_range in a worker: reports, as each row's theta,
+def _threshold_probe(first, last, step, selected, residue_samples, seed):
+    # Stands in for _check_rows in a worker: reports, as each row's theta,
     # the multiplication threshold the worker process sees.
-    return VerifyReport(
-        n_from, n_to, seed, residue_samples, checks,
-        results=[
-            RowVerification(n, bignat.karatsuba_threshold(), {})
-            for n in range(n_from, n_to + 1)
-        ],
-    )  # fmt: skip
+    return [
+        RowVerification(n, bignat.karatsuba_threshold(), {})
+        for n in range(first, last + 1, step)
+    ]
 
 
 class TestVerifyRange:
@@ -131,6 +127,24 @@ class TestVerifyRange:
         report = verify_range(150, 152, checks=["row_equality"])
         assert report.passed
         assert converted == [151, 152, 153]
+
+    def test_strided_rows_convert_only_their_own_rows(self, monkeypatch):
+        # A worker's loop: the additive oracle steps every row from the apex
+        # but converts only rows 150, 154 and 158, the ones this worker checks.
+        converted = []
+
+        class CountingBigNat(BigNat):
+            @staticmethod
+            def from_limb_rows(matrix):
+                converted.append(len(matrix))
+                return BigNat.from_limb_rows(matrix)
+
+        monkeypatch.setattr(oracle, "BigNat", CountingBigNat)
+        results = verify_bench._check_rows(150, 160, 4, ("row_equality",), 1, 0)
+        assert [(result.n, result.passed) for result in results] == [
+            (150, True), (154, True), (158, True)
+        ]
+        assert converted == [151, 155, 159]
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError, match="unknown check"):
@@ -250,12 +264,16 @@ class TestVerifyRangeParallel:
         assert _emitted(fanned) == _emitted(serial)
         assert (fanned.n_from, fanned.n_to, fanned.checks) == (n_from, n_to, serial.checks)
 
-    def test_one_cpu_gives_the_same_report(self, monkeypatch):
-        serial = verify_range(37, 90, residue_samples=5, seed=7)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert _emitted(verify_range_parallel(37, 90, residue_samples=5, seed=7)) == (
-            _emitted(serial)
-        )
+    # Which rows a worker checks depends on the worker count k: 37..90 has
+    # 54 rows, which neither 3 nor 7 divides; 5..6 has fewer rows than 3 or
+    # 7 CPUs, so two workers check one row each.
+    @pytest.mark.parametrize("cpus", [1, 3, 7])
+    @pytest.mark.parametrize("n_from, n_to", [(37, 90), (5, 6)])
+    def test_any_cpu_count_gives_the_same_report(self, monkeypatch, cpus, n_from, n_to):
+        serial = verify_range(n_from, n_to, residue_samples=5, seed=7)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        fanned = verify_range_parallel(n_from, n_to, residue_samples=5, seed=7)
+        assert _emitted(fanned) == _emitted(serial)
 
     def test_injected_failure_reaches_the_workers(self, monkeypatch):
         monkeypatch.setattr(
@@ -267,7 +285,7 @@ class TestVerifyRangeParallel:
         assert _emitted(fanned) == _emitted(serial)
 
     def test_threshold_reaches_the_workers(self, monkeypatch):
-        monkeypatch.setattr(verify_bench, "verify_range", _threshold_probe)
+        monkeypatch.setattr(verify_bench, "_check_rows", _threshold_probe)
         bignat.set_karatsuba_threshold(2)
         report = verify_range_parallel(0, 60, residue_samples=1)
         assert [r.n for r in report.results] == list(range(61))
@@ -294,25 +312,6 @@ class TestVerifyRangeParallel:
         with pytest.raises(ValueError) as fanned:
             verify_range_parallel(*args, **kwargs)
         assert str(fanned.value) == str(serial.value)
-
-    @pytest.mark.parametrize(
-        "n_from, n_to, count", [(0, 300, 8), (0, 300, 4), (37, 90, 8), (5, 5, 8), (0, 2, 8)]
-    )
-    def test_spans_cover_the_range_in_order(self, n_from, n_to, count):
-        spans = verify_bench._balanced_spans(n_from, n_to, count)
-        assert 1 <= len(spans) <= count
-        assert spans[0][0] == n_from and spans[-1][1] == n_to
-        assert all(lo <= hi for lo, hi in spans)
-        assert all(a[1] + 1 == b[0] for a, b in zip(spans, spans[1:]))
-
-    def test_spans_balance_the_weight(self):
-        spans = verify_bench._balanced_spans(0, 300, 8)
-        assert len(spans) == 8
-        weights = [
-            sum((n + 1) ** 2 + verify_bench._ROW_COST_OFFSET for n in range(lo, hi + 1))
-            for lo, hi in spans
-        ]
-        assert max(weights) < 1.3 * sum(weights) / 8
 
 
 class TestBenchMethods:
