@@ -41,25 +41,28 @@ remaining exponent bit squares the result and, for a set bit, multiplies
 it by the base. That is ``bit_length - 1`` squarings and ``popcount - 1``
 products, each of the latter with the small base as one factor.
 
-Carries in the Karatsuba recursion are lazy. Each node returns column
-sums brought back near limb range by one vectorised carry step (a floor
-``divmod`` by the radix, the quotients added one limb up), so limbs may
-be signed or slightly above the radix; the middle term ``zm - z0 - z2``
-is formed on columns. The int64 bound: an operand sum ``a0 + a1`` of
-limbs in ``[0, RADIX + 1]`` is at most ``2 * RADIX + 2`` before its carry
-step and back in ``[0, RADIX + 1]`` after it, so every base-case input
-lies in that range and a convolution column of at most 512 limbs is below
-``512 * (RADIX + 1)**2 < 5.2e16 < 2**63``. A carried base case has limbs
-below ``RADIX + 5.2e9``, and a node adds at most five child limbs per
-column, so no column above the base case exceeds ``3e10``. One final
-normalisation runs at the top: two carry steps, then the carry pass,
-started at the first limb still outside ``[0, RADIX)`` (most products
-have none). That pass is linear, so long runs of ``9999999`` limbs cost
-one sweep, not one numpy pass per limb of ripple.
+Carries in the Karatsuba recursion follow one rule: every node and every
+operand sum ends in exactly one vectorised carry step (a floor ``divmod``
+by the radix, the quotients added one limb up), a leaf ends in none, and
+the top takes three. Limbs may therefore be signed or above the radix;
+the middle term ``zm - z0 - z2`` is formed on columns. The int64 bound:
+operand limbs lie in ``[0, RADIX + 1]`` (an operand sum ``a0 + a1`` is at
+most ``2 * RADIX + 2`` before its carry step and back in that range after
+it), so a leaf's raw convolution column of at most 512 products is at
+most ``512 * (RADIX + 1)**2 < 5.2e16``. A node writes at most five child
+columns, raw leaf or carried node, into one, so its columns stay below
+``2.6e17 < 2**63``, and after its carry step it holds limbs in
+``[-2.6e10, RADIX + 2.6e10]``. Three carry steps at the top bring either
+a single leaf or a node to within one of ``[0, RADIX)``; then the exact
+carry pass starts at the first limb still outside that range (most
+products have none). That pass is linear, so long runs of ``9999999``
+limbs cost one sweep, not one numpy pass per limb of ripple.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -72,7 +75,8 @@ RADIX_DIGITS = 7
 DEFAULT_KARATSUBA_THRESHOLD = 32
 
 # Base case size for the Karatsuba recursion, in limbs. Must stay small
-# enough that a convolution column sum min(la, lb) * (RADIX+1)^2 fits int64.
+# enough that five raw leaf columns, each up to min(la, lb) * (RADIX+1)^2,
+# fit int64 in one node column.
 _CONV_BASE_LIMBS = 512
 
 # Blocks cut per chunk by to_blocks: enough that numpy's per-call cost is
@@ -114,6 +118,7 @@ def mul_counter() -> int:
     return _mul_ops
 
 
+@functools.total_ordering
 class BigNat:
     """An unsigned integer of any size, stored as base-10**7 limbs."""
 
@@ -139,10 +144,14 @@ class BigNat:
 
     @classmethod
     def from_limbs(cls, limbs: Iterable[int]) -> "BigNat":
-        """Build from little-endian limbs; normalizes leading zeros."""
+        """Build from little-endian limbs; normalizes leading zeros.
+
+        Each limb must be an integer (``operator.index``): a float raises
+        TypeError and a numpy integer becomes a Python int.
+        """
         # One tuple copy, which _trimmed returns as is unless it ends in
         # zeros.
-        limbs = tuple(limbs)
+        limbs = tuple(map(operator.index, limbs))
         for limb in limbs:
             if not 0 <= limb < RADIX:
                 raise ValueError(f"limb {limb} out of range for radix {RADIX}")
@@ -288,6 +297,8 @@ class BigNat:
 
     def compare(self, other: "BigNat") -> int:
         """-1, 0 or 1 as self is less than, equal to or greater than other."""
+        if not isinstance(other, BigNat):
+            raise TypeError(f"cannot compare BigNat with {type(other).__name__}")
         a, b = self._limbs, other._limbs
         if len(a) != len(b):
             return -1 if len(a) < len(b) else 1
@@ -320,16 +331,10 @@ class BigNat:
         return hash(self._limbs)
 
     def __lt__(self, other: "BigNat") -> bool:
+        # total_ordering derives <=, > and >= from this and __eq__.
+        if not isinstance(other, BigNat):
+            return NotImplemented
         return self.compare(other) < 0
-
-    def __le__(self, other: "BigNat") -> bool:
-        return self.compare(other) <= 0
-
-    def __gt__(self, other: "BigNat") -> bool:
-        return self.compare(other) > 0
-
-    def __ge__(self, other: "BigNat") -> bool:
-        return self.compare(other) >= 0
 
     def __add__(self, other: "BigNat") -> "BigNat":
         if not isinstance(other, BigNat):
@@ -345,7 +350,8 @@ class BigNat:
         return _product(self, other, shorter >= _karatsuba_threshold)
 
     def mul_small(self, factor: int) -> "BigNat":
-        """Product with a single-limb scalar (0 <= factor < RADIX)."""
+        """Product with a single-limb integer scalar (0 <= factor < RADIX)."""
+        factor = operator.index(factor)
         if not 0 <= factor < RADIX:
             raise ValueError(f"scalar factor {factor} out of range [0, {RADIX})")
         global _mul_ops
@@ -362,7 +368,8 @@ class BigNat:
         return BigNat._raw(tuple(out))
 
     def divmod_small(self, divisor: int) -> tuple["BigNat", int]:
-        """Quotient and remainder for a single-limb divisor (short division)."""
+        """Quotient and remainder for a single-limb integer divisor (short division)."""
+        divisor = operator.index(divisor)
         if not 1 <= divisor < RADIX:
             raise ValueError(f"divisor {divisor} out of range [1, {RADIX})")
         rem = 0
@@ -524,16 +531,17 @@ def _mul_quadratic_limbs(a: tuple, b: tuple) -> tuple:
 
 def _mul_subquadratic_limbs(a: tuple, b: tuple) -> tuple:
     # Karatsuba, then canonical limbs from the lazily carried columns. A
-    # carried base case can hold limbs up to RADIX + 5.2e9; the first step
-    # brings them below RADIX + 520 and the second leaves carries of at
-    # most one, so the carry pass from the first limb still outside
-    # [0, RADIX) rarely has anything to do. The operand arrays are
-    # dropped before the columns become a list, and the columns before the
-    # list becomes a tuple: those copies are the memory peak of a product.
+    # product that is a single leaf arrives as raw columns below 5.2e16,
+    # one that is a node as limbs in [-2.6e10, RADIX + 2.6e10]; three carry
+    # steps bring either within one of [0, RADIX), so the carry pass from
+    # the first limb still outside that range rarely has anything to do.
+    # The operand arrays are dropped before the columns become a list, and
+    # the columns before the list becomes a tuple: those copies are the
+    # memory peak of a product.
     x = np.array(a, dtype=np.int64)
     columns = _kara(x, x if a is b else np.array(b, dtype=np.int64))
     del x
-    for _ in range(2):
+    for _ in range(3):
         columns = _carry(columns)
     limbs = columns.tolist()
     stray = np.flatnonzero((columns < 0) | (columns >= RADIX))
@@ -542,16 +550,15 @@ def _mul_subquadratic_limbs(a: tuple, b: tuple) -> tuple:
 
 
 def _kara(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Lazily carried column sums of a * b. For a square (a is b) one
-    # operand sum serves both factors.
-    la, lb = a.shape[0], b.shape[0]
-    if la == 0 or lb == 0:
-        return np.zeros(0, dtype=np.int64)
-    if min(la, lb) <= _CONV_BASE_LIMBS:
-        return _carry(np.convolve(a, b))
-    half = min(la, lb) >> 1
-    a0, a1 = _trim(a[:half]), a[half:]
-    b0, b1 = (a0, a1) if a is b else (_trim(b[:half]), b[half:])
+    # Column sums of a * b: raw at a leaf, carried once at a node. For a
+    # square (a is b) one operand sum serves both factors. Past a leaf
+    # half >= 256, so no half is empty.
+    shorter = min(a.shape[0], b.shape[0])
+    if shorter <= _CONV_BASE_LIMBS:
+        return np.convolve(a, b)
+    half = shorter >> 1
+    a0, a1 = a[:half], a[half:]
+    b0, b1 = (a0, a1) if a is b else (b[:half], b[half:])
     z0 = _kara(a0, b0)
     sum_a = _add(a0, a1)
     zm = _kara(sum_a, sum_a if a is b else _add(b0, b1))
@@ -568,32 +575,25 @@ def _kara(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _carry(out)
 
 
-def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[0] < b.shape[0]:
-        a, b = b, a
-    out = a.copy()
-    out[: b.shape[0]] += b
+def _add(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    # low + high, carried once; high is never the shorter.
+    out = high.copy()
+    out[: low.shape[0]] += low
     return _carry(out)
 
 
 def _carry(columns: np.ndarray) -> np.ndarray:
     # One vectorised carry step: keep each column's floor residue and add
     # its quotient one limb up. The value is unchanged; limbs come back to
-    # [0, RADIX) plus the (possibly negative) quotient from below.
+    # [0, RADIX) plus the (possibly negative) quotient from below, in n + 1
+    # columns whatever the top one holds.
     n = columns.shape[0]
     out = np.empty(n + 1, dtype=np.int64)
     high = np.empty(n, dtype=np.int64)
     np.divmod(columns, RADIX, out=(high, out[:n]))
     out[n] = 0
     out[1:] += high
-    return _trim(out)
-
-
-def _trim(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    while n and not a[n - 1]:
-        n -= 1
-    return a[:n]
+    return out
 
 
 _ZERO = BigNat(0)

@@ -299,6 +299,10 @@ def _check_rows(
 def _validated_checks(checks: Sequence[str] | None) -> tuple[str, ...]:
     if checks is None:
         return CHECK_NAMES
+    if isinstance(checks, str):
+        raise TypeError(
+            f"checks must be a sequence of check names, not the string {checks!r}"
+        )
     if not checks:
         raise ValueError(f"no checks selected; choose from {CHECK_NAMES}")
     unknown = set(checks) - set(CHECK_NAMES)

@@ -77,6 +77,13 @@ class TestConstruction:
             BigNat.from_limbs(iter([0, bignat.RADIX, -1]))
         assert BigNat.from_limbs((7, 0, 3, 0)) == BigNat(3 * bignat.RADIX**2 + 7)
 
+    def test_from_limbs_takes_integers_only(self):
+        with pytest.raises(TypeError):
+            BigNat.from_limbs([1.5, 2])
+        x = BigNat.from_limbs(np.array([7, 3], dtype=np.int64))
+        assert x == BigNat(3 * bignat.RADIX + 7)
+        assert [type(limb) for limb in x.limbs] == [int, int]
+
 
 class TestParsing:
     def test_leading_zeros_normalized(self):
@@ -206,14 +213,17 @@ class TestMultiplication:
             (4096, 4096, True),
             (20000, 20000, True),
             (600, 18000, True),
+            (4097, 512, True),
+            (20000, 700, True),
             (2, 3000, True),
         ],
     )
     def test_subquadratic_large_operands_against_int(self, la, lb, all_nines):
         # Above 512 limbs the Karatsuba recursion runs; all-nine limbs give
         # the largest column sums and the longest carry ripples, and 1:30
-        # shapes recurse on unequal halves. Each factor is also squared,
-        # the product that powering makes most.
+        # shapes recurse on unequal halves. A 512-limb factor makes the
+        # whole product one leaf that reaches the top uncarried. Each factor
+        # is also squared, the product that powering makes most.
         rng = random.Random(la * 100_003 + lb)
 
         def operand(length):
@@ -230,6 +240,17 @@ class TestMultiplication:
         for factor, limbs in ((x, a), (y, b)):
             square = mul_subquadratic(factor, factor)
             assert limbs_to_int(square.limbs) == limbs_to_int(limbs) ** 2
+
+    @pytest.mark.parametrize("length", [512, 513, 4097, 131072])
+    def test_subquadratic_square_of_all_nines(self, length):
+        # (R**L - 1)**2 = R**(2L) - 2 R**L + 1: every convolution column at
+        # its largest. 512 limbs is a single leaf that reaches the top
+        # uncarried; 131,072 is the size of the FFT bound on the roadmap.
+        radix = bignat.RADIX
+        x = BigNat.from_limbs([radix - 1] * length)
+        square = mul_subquadratic(x, x)
+        expected = [1] + [0] * (length - 1) + [radix - 2] + [radix - 1] * (length - 1)
+        assert list(square.limbs) == expected
 
     def test_counter_counts_products(self):
         bignat.reset_mul_counter()
@@ -568,6 +589,22 @@ class TestComparison:
     def test_ordering_operators(self):
         assert BigNat(2) < BigNat(3) <= BigNat(3) < BigNat(10**9)
         assert BigNat(10**9) > BigNat(3) >= BigNat(3)
+        assert not BigNat(3) > BigNat(3) and not BigNat(2) >= BigNat(3)
+
+    def test_other_types_do_not_compare(self):
+        x = BigNat(3)
+        for other in (5, 3.0, "3"):
+            for compare in (
+                lambda: x < other,
+                lambda: x <= other,
+                lambda: x > other,
+                lambda: x >= other,
+                lambda: other < x,
+                lambda: x.compare(other),
+            ):
+                with pytest.raises(TypeError):
+                    compare()
+        assert x != 3
 
 
 class TestDigitCount:
@@ -589,11 +626,23 @@ class TestScalarOps:
         with pytest.raises(ValueError):
             BigNat(1).mul_small(-1)
 
+    def test_mul_small_takes_integers_only(self):
+        with pytest.raises(TypeError):
+            BigNat(5).mul_small(2.5)
+        product = BigNat(5).mul_small(np.int64(3))
+        assert product == BigNat(15) and type(product.limbs[0]) is int
+
     def test_divmod_small(self):
         quotient, remainder = BigNat(1000001).divmod_small(7)
         assert (quotient.to_int(), remainder) == divmod(1000001, 7)
         with pytest.raises(ValueError):
             BigNat(1).divmod_small(0)
+
+    def test_divmod_small_takes_integers_only(self):
+        with pytest.raises(TypeError):
+            BigNat(7).divmod_small(2.0)
+        quotient, remainder = BigNat(7).divmod_small(np.int64(2))
+        assert (quotient, remainder) == (BigNat(3), 1) and type(remainder) is int
 
     def test_pow10(self):
         assert str(pow10(0)) == "1"

@@ -150,6 +150,13 @@ class TestVerifyRange:
         with pytest.raises(ValueError, match="unknown check"):
             verify_range(0, 1, checks=["row_equality", "bogus"])
 
+    @pytest.mark.parametrize("run", [verify_range, verify_range_parallel])
+    def test_string_of_checks_rejected(self, run):
+        # A string is a sequence of one-letter names: it is refused whole,
+        # not as the unknown checks '_', 'm', 'o', ...
+        with pytest.raises(TypeError, match="sequence of check names.*'row_sum'"):
+            run(0, 2, checks="row_sum")
+
     @pytest.mark.parametrize("args", [(-1, 3), (5, 2)])
     def test_bad_range_rejected(self, args):
         with pytest.raises(ValueError):
