@@ -27,11 +27,15 @@ Multiplication has two paths that must agree bit-exactly. ``*``,
 ``mul_quadratic`` and ``mul_subquadratic`` share one entry that counts
 the product, returns zero for a zero factor and runs the chosen path:
 
-* a plain schoolbook loop in Python (the quadratic path), used below the
-  Karatsuba threshold; the shorter factor runs the outer loop, so the
-  zero limbs of a sparse factor such as ``10**w + 1`` cost nothing;
+* a plain schoolbook loop in Python (the quadratic path), used while
+  the limb counts of the factors multiply to less than the threshold
+  squared (a square switches at the threshold's limb count); the shorter
+  factor runs the outer loop, so the zero limbs of a sparse factor such
+  as ``10**w + 1`` cost nothing;
 * Karatsuba recursion over numpy int64 arrays whose base case is a single
-  integer convolution (the subquadratic path). When both factors are the
+  integer convolution (the subquadratic path), used from that much work
+  on. A product whose shorter factor has at most 512 limbs is one such
+  convolution, however long the other factor. When both factors are the
   same limb tuple (``x * x``, most of the products in ``pow``) one array
   and one operand sum per node serve both factors; the convolutions are
   the same as for a general product.
@@ -39,7 +43,9 @@ the product, returns zero for a zero factor and runs the chosen path:
 ``pow`` is left-to-right binary powering: starting from the base, each
 remaining exponent bit squares the result and, for a set bit, multiplies
 it by the base. That is ``bit_length - 1`` squarings and ``popcount - 1``
-products, each of the latter with the small base as one factor.
+products, each of the latter with the small base as one factor: once the
+power is long enough, and while the base has at most 512 limbs, that is
+one convolution leaf.
 
 Carries in the Karatsuba recursion follow one rule: every node and every
 operand sum ends in exactly one vectorised carry step (a floor ``divmod``
@@ -70,8 +76,10 @@ import numpy as np
 RADIX = 10**7
 RADIX_DIGITS = 7
 
-#: Operand size (in limbs of the smaller factor) at which ``*`` switches
-#: from the schoolbook path to the Karatsuba path.
+#: ``*`` takes the Karatsuba path when the limb counts of its factors
+#: multiply to at least this threshold squared, and the schoolbook path
+#: below that: a square switches at this many limbs, a product by a short
+#: factor once the work is the same.
 DEFAULT_KARATSUBA_THRESHOLD = 32
 
 # Base case size for the Karatsuba recursion, in limbs. Must stay small
@@ -97,8 +105,14 @@ _mul_ops = 0
 
 
 def set_karatsuba_threshold(limbs: int) -> None:
-    """Set the operand size at which multiplication goes subquadratic."""
-    if not isinstance(limbs, int) or limbs < 2:
+    """Set the size T at which multiplication goes subquadratic.
+
+    A product takes the subquadratic path when its limb counts multiply to
+    at least T**2. T must be an integer (``operator.index``: a float raises
+    TypeError) of at least 2.
+    """
+    limbs = operator.index(limbs)
+    if limbs < 2:
         raise ValueError(f"karatsuba threshold must be an integer >= 2, got {limbs!r}")
     global _karatsuba_threshold
     _karatsuba_threshold = limbs
@@ -346,8 +360,8 @@ class BigNat:
     def __mul__(self, other: "BigNat") -> "BigNat":
         if not isinstance(other, BigNat):
             return NotImplemented
-        shorter = min(len(self._limbs), len(other._limbs))
-        return _product(self, other, shorter >= _karatsuba_threshold)
+        work = len(self._limbs) * len(other._limbs)
+        return _product(self, other, work >= _karatsuba_threshold**2)
 
     def mul_small(self, factor: int) -> "BigNat":
         """Product with a single-limb integer scalar (0 <= factor < RADIX)."""
@@ -373,9 +387,11 @@ class BigNat:
         if not 1 <= divisor < RADIX:
             raise ValueError(f"divisor {divisor} out of range [1, {RADIX})")
         rem = 0
-        out = [0] * len(self._limbs)
-        for i in range(len(self._limbs) - 1, -1, -1):
-            out[i], rem = divmod(rem * RADIX + self._limbs[i], divisor)
+        out = []
+        for limb in reversed(self._limbs):
+            digit, rem = divmod(rem * RADIX + limb, divisor)
+            out.append(digit)
+        out.reverse()
         return BigNat._raw(_trimmed(out)), rem
 
     def pow(self, exponent: int) -> "BigNat":

@@ -35,8 +35,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LIMBS",
         default=None,
         help=(
-            "operand size at which multiplication switches to the "
-            "subquadratic path (>= 2)"
+            "size at which multiplication switches to the subquadratic path: "
+            "a product goes there once its factors' limb counts multiply to "
+            "at least LIMBS**2 (>= 2)"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,20 +4,22 @@ Write w = theta + 1 for the digit count of the central coefficient
 C(n, n // 2). The integer (10**w + 1)**n then carries the entire row n in
 its decimal digits: the r-th block of w digits from the right is exactly
 C(n, r-1), because every coefficient fits in w digits so no block ever
-carries into its neighbour. This module computes theta exactly (never via
-floating logarithms), raises the base to the n-th power, slices blocks,
+carries into its neighbour. This module computes theta exactly, from the
+prime factorisation of C(n, n // 2) and never via floating logarithms,
+raises the base to the n-th power, slices blocks,
 and exposes the no-carry bound and the truncated-sum residue identity as
 executable checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import oracle
-from .bignat import BigNat, pow10
+from .bignat import RADIX, BigNat, pow10
 from .row import Method, Row
 
 _ONE = BigNat(1)
@@ -55,10 +57,66 @@ def theta(n: int) -> ThetaResult:
     """Zeros to insert between the ones of eleven so row n fits its blocks.
 
     Exactly one less than the digit count of C(n, n // 2), computed from
-    the coefficient itself so there is no rounding boundary to guard.
+    the coefficient itself so there is no rounding boundary to guard. The
+    coefficient comes from its prime factorisation (central_coefficient),
+    not from the oracle's recurrence, so the verify sweep's oracle row is
+    an independent check of it.
     """
-    width = oracle.central_digit_count(n)
+    width = central_coefficient(n).digit_count()
     return ThetaResult(n=n, theta=width - 1, block_width=width)
+
+
+def central_coefficient(n: int) -> BigNat:
+    """C(n, n // 2) as the product of its prime factorisation.
+
+    One mul_small per packed factor (see _central_factors); no division.
+    Every factor is a single-limb scalar only while every prime is, so n
+    must stay below RADIX, the same bound as the oracle's scalar steps.
+    """
+    if n < 0:
+        raise ValueError(f"row index must be >= 0, got {n}")
+    if n >= RADIX:
+        raise ValueError(f"row index {n} too large for scalar recurrence steps")
+    value = _ONE
+    for factor in _central_factors(n):
+        value = value.mul_small(factor)
+    return value
+
+
+def _central_factors(n: int) -> list[int]:
+    # The primes of C(n, k), k = n // 2, packed greedily, primes ascending,
+    # into factors below RADIX. Prime p enters e_p times, where by
+    # Legendre's formula e_p = sum over i of
+    # n // p**i - k // p**i - (n - k) // p**i.
+    k = n // 2
+    factors = []
+    factor = 1
+    for p in _primes_to(n):
+        exponent = 0
+        power = p
+        while power <= n:
+            exponent += n // power - k // power - (n - k) // power
+            power *= p
+        for _ in range(exponent):
+            if factor * p >= RADIX:
+                factors.append(factor)
+                factor = 1
+            factor *= p
+    if factor > 1:
+        factors.append(factor)
+    return factors
+
+
+def _primes_to(n: int) -> list[int]:
+    # The primes p <= n, by the sieve of Eratosthenes.
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, prime in enumerate(sieve) if prime]
 
 
 def eleven_variant(geometry: ThetaResult) -> BigNat:

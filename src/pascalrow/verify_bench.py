@@ -366,7 +366,14 @@ def _row_equality(facts):
 
 
 def _digit_length(facts):
-    expected = facts.n * facts.geometry.block_width + 1
+    # The block width must be the digit count of the oracle's central
+    # coefficient (theta builds it from prime factors, not from this row),
+    # and the power must have n * width + 1 digits.
+    width = facts.geometry.block_width
+    central = facts.oracle_row.coefficients[facts.n // 2].digit_count()
+    if width != central:
+        yield None, f"block width {central}", f"block width {width}"
+    expected = facts.n * width + 1
     actual = rowgen.power_integer(facts.n).digit_count()
     if actual != expected:
         yield None, str(expected), str(actual)

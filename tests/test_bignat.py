@@ -656,10 +656,70 @@ class TestThresholdConfig:
         bignat.set_karatsuba_threshold(17)
         assert bignat.karatsuba_threshold() == 17
 
-    @pytest.mark.parametrize("bad", [1, 0, -3, 2.5, "8"])
-    def test_rejects_bad_values(self, bad):
-        with pytest.raises(ValueError):
+    def test_takes_any_integer(self):
+        bignat.set_karatsuba_threshold(np.int64(64))
+        assert bignat.karatsuba_threshold() == 64
+        assert type(bignat.karatsuba_threshold()) is int
+
+    @pytest.mark.parametrize(
+        "bad,error",
+        [(1, ValueError), (0, ValueError), (-3, ValueError), (2.5, TypeError),
+         ("8", TypeError)],
+        ids=["1", "0", "-3", "2.5", "8"],
+    )  # fmt: skip
+    def test_rejects_bad_values(self, bad, error):
+        with pytest.raises(error):
             bignat.set_karatsuba_threshold(bad)
+
+    # A long factor times a short one: the shape of every product by the
+    # base in pow. The dispatch weighs the work, len(a) * len(b), against
+    # the threshold squared, so at the default these are one convolution
+    # leaf, and at 10**4 they stay schoolbook.
+    @pytest.mark.parametrize(
+        "threshold,path",
+        [(bignat.DEFAULT_KARATSUBA_THRESHOLD, "_mul_subquadratic_limbs"),
+         (10**4, "_mul_quadratic_limbs")],
+    )  # fmt: skip
+    @pytest.mark.parametrize(
+        "short,long,nines",
+        [(13, 4000, False), (1, 5000, False), (13, 20000, True)],
+        ids=["13x4000", "1x5000", "13x20000-all-9"],
+    )
+    def test_unequal_product_dispatched_by_work(
+        self, monkeypatch, short, long, nines, threshold, path
+    ):
+        rng = random.Random(short * long)
+        top = bignat.RADIX - 1
+        a, b = (
+            [top] * length if nines else [rng.randint(1, top) for _ in range(length)]
+            for length in (short, long)
+        )
+        x, y = BigNat.from_limbs(a), BigNat.from_limbs(b)
+        product = limbs_to_int(a) * limbs_to_int(b)
+        paths = []
+        for seam in ("_mul_quadratic_limbs", "_mul_subquadratic_limbs"):
+            kernel = getattr(bignat, seam)
+
+            def recorded(x, y, kernel=kernel, seam=seam):
+                paths.append(seam)
+                return kernel(x, y)
+
+            monkeypatch.setattr(bignat, seam, recorded)
+        bignat.set_karatsuba_threshold(threshold)
+        assert limbs_to_int((x * y).limbs) == product
+        assert limbs_to_int((y * x).limbs) == product
+        assert paths == [path, path]
+
+    def test_square_dispatch_unchanged(self, monkeypatch):
+        # A square of L limbs is L * L work, so it switches paths at the
+        # threshold's limb count.
+        paths = []
+        for seam in ("_mul_quadratic_limbs", "_mul_subquadratic_limbs"):
+            monkeypatch.setattr(bignat, seam, lambda x, y, seam=seam: paths.append(seam) or (1,))
+        for limbs in (31, 32):
+            x = BigNat(10 ** (7 * limbs) - 1)
+            x * x
+        assert paths == ["_mul_quadratic_limbs", "_mul_subquadratic_limbs"]
 
     def test_product_unchanged_by_threshold(self):
         a = BigNat.from_decimal("9" * 400)

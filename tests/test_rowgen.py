@@ -2,12 +2,12 @@
 
 import random
 import tracemalloc
-from math import comb
+from math import comb, prod
 
 import pytest
 
 from pascalrow import oracle, rowgen
-from pascalrow.bignat import BigNat, pow10
+from pascalrow.bignat import RADIX, BigNat, pow10
 from pascalrow.row import Method
 
 
@@ -45,10 +45,55 @@ class TestTheta:
 
 
     def test_math_comb_oracle(self):
-        # math.comb shares nothing with oracle.binomial, from which theta is built.
+        # math.comb shares nothing with the prime factorisation theta is built from.
         rng = random.Random(314)
         for n in [0, 1, 2, 9, 10, 16, 51, *rng.sample(range(52, 400), 6)]:
             assert rowgen.theta(n).theta == len(str(comb(n, n // 2))) - 1
+
+
+def _prime_factors(value):
+    # Trial division, ascending; value < RADIX, so divisors stay below 3163.
+    primes, d = [], 2
+    while d * d <= value:
+        while value % d == 0:
+            primes.append(d)
+            value //= d
+        d += 1
+    return primes + [value] if value > 1 else primes
+
+
+class TestCentralCoefficient:
+    def test_equals_math_comb(self):
+        for n in [*range(2001), 4000, 10**4]:
+            assert rowgen.central_coefficient(n).to_int() == comb(n, n // 2), n
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 100, 1810, 4000])
+    def test_one_scalar_step_per_packed_factor(self, n, monkeypatch):
+        factors = rowgen._central_factors(n)
+        assert all(1 < factor < RADIX for factor in factors)
+        steps = []
+        mul_small = BigNat.mul_small
+
+        def counted(self, factor):
+            steps.append(factor)
+            return mul_small(self, factor)
+
+        monkeypatch.setattr(BigNat, "mul_small", counted)
+        monkeypatch.setattr(BigNat, "divmod_small", None)
+        monkeypatch.setattr(oracle, "binomial", None)
+        rowgen.central_coefficient(n)
+        assert steps == factors
+
+    def test_factors_packed_greedily(self):
+        # Primes ascending, each prime as often as it divides C(n, n//2);
+        # a factor is closed only when the next prime would reach RADIX.
+        factors = rowgen._central_factors(1810)
+        assert prod(factors) == comb(1810, 905)
+        split = [_prime_factors(factor) for factor in factors]
+        primes = [p for part in split for p in part]
+        assert primes == sorted(primes)
+        for factor, following in zip(factors, split[1:]):
+            assert factor * following[0] >= RADIX
 
 
 class TestElevenVariant:

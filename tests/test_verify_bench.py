@@ -81,16 +81,19 @@ class TestVerifyRange:
         counted(BigNat, "from_block_prefixes")
         counted(oracle, "row_multiplicative")
         counted(oracle, "binomial")
+        counted(rowgen, "central_coefficient")
         verify_range(0, 40, residue_samples=5, seed=0)
         # Per row: one prefix pass yields the truncated sums of all its
         # sampled block counts, and two more (through from_blocks) build the
-        # row sum and the weighted sum; one oracle row and one central
-        # coefficient (for theta).
+        # row sum and the weighted sum; one oracle row, and one central
+        # coefficient from its prime factors (for theta). The digit_length
+        # check reads the oracle's central coefficient off its row, so
+        # oracle.binomial is never called.
         assert calls == {
             "from_blocks": 41 + 41,
             "from_block_prefixes": 41 + 41 + 41,
             "row_multiplicative": 41,
-            "binomial": 41,
+            "central_coefficient": 41,
         }
 
     def test_warm_sweep_reads_the_oracle_it_is_given(self, monkeypatch):
@@ -225,6 +228,31 @@ class TestVerifyRange:
         assert [(f.check, f.r, f.expected, f.actual) for f in result.failures] == [
             (failing, None, str(expected), str(actual))
         ]
+
+    def test_block_width_one_digit_too_wide_fails_digit_length(self, monkeypatch):
+        # A width above the central coefficient's digit count still keeps
+        # every block apart, and the power then has n * width + 1 digits
+        # for that width; only the oracle's central coefficient shows the
+        # width is not the least one.
+        true_theta = rowgen.theta
+
+        def wide(n):
+            geometry = true_theta(n)
+            return rowgen.ThetaResult(n, geometry.theta + 1, geometry.block_width + 1)
+
+        rowgen.clear_caches()
+        with monkeypatch.context() as patch:
+            patch.setattr(rowgen, "theta", wide)
+            report = verify_range(0, 60, residue_samples=2, seed=0)
+        rowgen.clear_caches()
+        for result in report.results:
+            width = true_theta(result.n).block_width
+            assert result.checks["digit_length"] is False
+            assert [
+                (f.r, f.expected, f.actual)
+                for f in result.failures
+                if f.check == "digit_length"
+            ] == [(None, f"block width {width}", f"block width {width + 1}")]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 120])
     def test_samples_stop_once_every_block_count_is_drawn(self, n):
