@@ -11,7 +11,7 @@ import os as _os
 import sys as _sys
 
 # pascalrow makes no BLAS call: its numpy work is int64 convolve, integer
-# divmod and a uint8 x uint32 matmul, all numpy's own loops. Yet numpy's
+# divmod and uint32 limb shifts, all numpy's own loops. Yet numpy's
 # bundled OpenBLAS starts a helper thread per extra CPU at import, and each
 # spins for its default 2**28 cycles before it sleeps: about a third of a
 # small request's CPU. The shortest timeout removes the spin and, unlike

@@ -11,10 +11,11 @@ never in limbs. At width 0 every block sits at offset 0, which is the
 plain sum: addition is ``from_blocks`` of the two terms at width 0.
 ``from_block_prefixes`` lays the blocks down once and yields
 that sum at each of several cuts; ``from_blocks`` is its single-cut case.
-``to_blocks`` works in numpy a chunk of blocks at a time, digits to a
-limb matrix with no text in between, and ends in ``from_limb_rows``, the
-matrix counterpart of ``from_limbs``: one range check over a whole limb
-matrix, then one number per row.
+``to_blocks`` is ``high_digits``'s limb shift applied to every block at
+once in numpy, one limb column of all blocks per step, with no digit or
+text in between; it ends in ``from_limb_rows``, the matrix counterpart of
+``from_limbs``: one range check over a whole limb matrix, then one number
+per row.
 
 Column sums become limbs in one place: a single exact carry pass over
 Python-int columns. It finishes ``from_blocks`` (and so addition), the
@@ -87,14 +88,8 @@ DEFAULT_KARATSUBA_THRESHOLD = 32
 # fit int64 in one node column.
 _CONV_BASE_LIMBS = 512
 
-# Blocks cut per chunk by to_blocks: enough that numpy's per-call cost is
-# spread over many blocks, few enough that a chunk of the ~550-digit blocks
-# of a million-digit power stays near 70k digits. A `row 1810` process
-# peaked about 0.2 MB higher in RSS with 256-block chunks.
-_CUT_CHUNK_BLOCKS = 128
-
-# Place values of the seven digits of a limb, least significant first.
-_LIMB_PLACES = np.array([10**k for k in range(RADIX_DIGITS)], dtype=np.uint32)
+# 10**0 .. 10**7, the sub-limb shifts and masks of to_blocks.
+_POW10 = np.array([10**k for k in range(RADIX_DIGITS + 1)], dtype=np.uint32)
 
 _karatsuba_threshold = DEFAULT_KARATSUBA_THRESHOLD
 
@@ -191,8 +186,10 @@ class BigNat:
                 f"limb {matrix.flat[bad[0]]} out of range for radix {RADIX}"
             )
         # Row length without its leading zero limbs: 1 + the index of its
-        # highest nonzero limb, 0 for an all-zero row.
-        positions = np.arange(1, matrix.shape[1] + 1)
+        # highest nonzero limb, 0 for an all-zero row. uint32 positions keep
+        # this temporary, which spans a whole cut, at the size of the cut's
+        # uint32 matrix rather than twice it.
+        positions = np.arange(1, matrix.shape[1] + 1, dtype=np.uint32)
         lengths = np.where(matrix != 0, positions, 0).max(axis=1, initial=0)
         return [
             cls._raw(tuple(row[:length]))
@@ -202,12 +199,11 @@ class BigNat:
     def to_blocks(self, width: int, count: int) -> list["BigNat"]:
         """Cut self into `count` blocks of `width` digits, rightmost first.
 
-        The inverse of from_blocks for blocks below 10**width. The digits
-        are cut a chunk of blocks at a time: the chunk's limbs are split
-        into digits, viewed as a (blocks x width) array, padded to whole
-        limbs and turned into one limb matrix, so no digit is parsed on its
-        own and no array spans the whole number. Blocks above the leading
-        digit are zero and allocate nothing.
+        The inverse of from_blocks for blocks below 10**width. Each block is
+        high_digits's shift at the block's digit offset, taken for every
+        block at once: limb column j of all blocks is one numpy expression
+        over the limbs, and the top column is cut to the block's width.
+        Blocks above the leading digit are zero and allocate nothing.
         """
         if width < 1:
             raise ValueError(f"block width must be >= 1, got {width}")
@@ -220,26 +216,22 @@ class BigNat:
             )
         block_limbs = -(-width // RADIX_DIGITS)
         present = -(-digit_count // width)
-        blocks = []
-        for first in range(0, present, _CUT_CHUNK_BLOCKS):
-            rows = min(_CUT_CHUNK_BLOCKS, present - first)
-            low, high = first * width, (first + rows) * width
-            start = low // RADIX_DIGITS
-            # The limbs holding digits low..high (zero above the leading
-            # limb), then their digits, least significant first.
-            limbs = np.zeros(-(-high // RADIX_DIGITS) - start, np.uint32)
-            held = self._limbs[start : start + limbs.size]
-            limbs[: len(held)] = held
-            stream = np.empty((limbs.size, RADIX_DIGITS), np.uint8)
-            for place in range(RADIX_DIGITS):
-                np.divmod(limbs, 10, out=(limbs, stream[:, place]), casting="unsafe")
-            stream = stream.reshape(-1)[low - start * RADIX_DIGITS :][: high - low]
-            # One block per row, its digits padded above to whole limbs.
-            digits = np.zeros((rows, block_limbs * RADIX_DIGITS), np.uint8)
-            digits[:, :width] = stream.reshape(rows, width)
-            matrix = digits.reshape(rows, block_limbs, RADIX_DIGITS) @ _LIMB_PLACES
-            blocks += BigNat.from_limb_rows(matrix)
-        return blocks + [_ZERO] * (count - present)
+        # The limbs and one zero above them; every index past the top limb
+        # is clipped to that zero.
+        limbs = np.zeros(len(self._limbs) + 1, np.uint32)
+        limbs[:-1] = self._limbs
+        whole, part = np.divmod(np.arange(present) * width, RADIX_DIGITS)
+        pivot, shift = _POW10[part], _POW10[RADIX_DIGITS - part]
+        # Limb column j of every block joins the limbs at whole + j and
+        # whole + j + 1. Columns at or past the number's limb count start
+        # above its leading digit in every block, so they stay zero.
+        matrix = np.zeros((present, block_limbs), np.uint32)
+        high = limbs[whole]
+        for j in range(min(block_limbs, len(self._limbs))):
+            low, high = high, np.take(limbs, whole + j + 1, mode="clip")
+            matrix[:, j] = low // pivot + high % pivot * shift
+        matrix[:, -1] %= _POW10[width - RADIX_DIGITS * (block_limbs - 1)]
+        return BigNat.from_limb_rows(matrix) + [_ZERO] * (count - present)
 
     @classmethod
     def from_blocks(cls, blocks: Iterable["BigNat"], width: int) -> "BigNat":

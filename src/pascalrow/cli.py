@@ -93,6 +93,8 @@ def run_cli(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    # The flag holds for this run only; verify's workers fork inside it.
+    saved = bignat.karatsuba_threshold()
     try:
         if args.karatsuba_threshold is not None:
             bignat.set_karatsuba_threshold(args.karatsuba_threshold)
@@ -100,6 +102,8 @@ def run_cli(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"pascalrow: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        bignat.set_karatsuba_threshold(saved)
 
 
 def main() -> None:

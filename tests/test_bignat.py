@@ -476,44 +476,48 @@ def int_cut(value: int, width: int, count: int) -> list[int]:
 
 
 class TestToBlocks:
-    CHUNK = bignat._CUT_CHUNK_BLOCKS
-
     @pytest.mark.parametrize("width", range(1, 31))
     def test_against_text_slicing_and_int(self, width):
-        # Block counts either side of the chunk size; values that fill
-        # every block and values whose top blocks are zero.
+        # Short and long block counts; values that fill every block and
+        # values whose top blocks are zero, random and all 9s. All 9s make
+        # each sub-limb shift s = 0..6 meet 9999999 limbs on both sides,
+        # where the high part and the sum are largest.
         rng = random.Random(width)
-        for count in (1, 2, self.CHUNK - 1, self.CHUNK + 1, 2 * self.CHUNK + 1):
+        for count in (1, 2, 127, 129, 257):
             for digits in (count * width, rng.randint(0, count * width)):
-                value = rng.randrange(10**digits) if digits else 0
-                got = [b.to_int() for b in BigNat(value).to_blocks(width, count)]
-                assert got == int_cut(value, width, count), (width, count, digits)
-                assert got == text_cut(BigNat(value), width, count)
+                drawn = rng.randrange(10**digits) if digits else 0
+                for value in (drawn, 10**digits - 1):
+                    got = [b.to_int() for b in BigNat(value).to_blocks(width, count)]
+                    assert got == int_cut(value, width, count), (width, count, digits)
+                    assert got == text_cut(BigNat(value), width, count)
 
     @pytest.mark.parametrize("width", [7, 14, 21])
     def test_limb_aligned_widths_of_nines(self, width):
         # All-9 limbs at widths that are whole limbs: every block is
         # 10**width - 1, its top limb full.
-        count = self.CHUNK + 3
+        count = 131
         value = 10 ** (count * width) - 1
         blocks = BigNat(value).to_blocks(width, count)
         assert blocks == [BigNat(10**width - 1)] * count
 
     def test_zero(self):
         assert BigNat(0).to_blocks(1, 1) == [BigNat(0)]
-        assert BigNat(0).to_blocks(9, self.CHUNK + 1) == [BigNat(0)] * (self.CHUNK + 1)
+        assert BigNat(0).to_blocks(9, 129) == [BigNat(0)] * 129
 
     def test_blocks_above_the_leading_digit_are_zero(self):
         assert [b.to_int() for b in BigNat(12_345_678).to_blocks(3, 5)] == [
             678, 345, 12, 0, 0,
         ]  # fmt: skip
-        blocks = BigNat(7).to_blocks(2, 2 * self.CHUNK + 1)
-        assert blocks == [BigNat(7)] + [BigNat(0)] * (2 * self.CHUNK)
+        blocks = BigNat(7).to_blocks(2, 257)
+        assert blocks == [BigNat(7)] + [BigNat(0)] * 256
 
     def test_inverse_of_from_blocks(self):
+        # Short widths, then the shape of row 1810: 1811 blocks at widths 0,
+        # 1 and 6 digits past a whole limb.
         rng = random.Random(97)
-        for width in (1, 6, 7, 8, 13, 30):
-            values = [rng.randrange(10**width) for _ in range(self.CHUNK + 5)]
+        shapes = [(width, 133) for width in (1, 6, 7, 8, 13, 30)]
+        for width, count in shapes + [(553, 1811), (554, 1811), (559, 1811)]:
+            values = [rng.randrange(10**width) for _ in range(count)]
             blocks = [BigNat(v) for v in values]
             assert BigNat.from_blocks(blocks, width).to_blocks(width, len(blocks)) == (
                 blocks

@@ -285,10 +285,23 @@ class TestUsageErrors:
 
 
 class TestThresholdConfiguration:
-    def test_flag_applies(self, capsys):
+    def test_flag_applies(self, capsys, monkeypatch):
+        # The command sees the flag's value; after run_cli the threshold is
+        # back where it was, also when the command fails.
+        seen = []
+        theta = rowgen.theta
+
+        def recording_theta(n):
+            seen.append(bignat.karatsuba_threshold())
+            return theta(n)
+
+        monkeypatch.setattr(rowgen, "theta", recording_theta)
         code, _, _ = run(capsys, "--karatsuba-threshold", "64", "theta", "5")
-        assert code == 0
-        assert bignat.karatsuba_threshold() == 64
+        assert (code, seen) == (0, [64])
+        assert bignat.karatsuba_threshold() == bignat.DEFAULT_KARATSUBA_THRESHOLD
+        code, _, _ = run(capsys, "--karatsuba-threshold", "64", "theta", "-1")
+        assert (code, seen) == (2, [64, 64])
+        assert bignat.karatsuba_threshold() == bignat.DEFAULT_KARATSUBA_THRESHOLD
 
     def test_environment_is_not_read(self, capsys, monkeypatch):
         # The variable that once set the threshold, spelt in two parts so

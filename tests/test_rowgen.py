@@ -174,15 +174,22 @@ class TestPartitionBlocks:
 
     def test_sparse_value_allocates_only_its_digits(self):
         # 10**4 blocks of 10**4 digits span 10**8 digits, of which one is
-        # present: the zero blocks above it cost a list slot each.
+        # present: the zero blocks above it cost a list slot each. One block
+        # of 10**6 digits holds one digit: its limb columns past the
+        # number's single limb are never computed.
         tracemalloc.start()
         try:
             blocks = rowgen.partition_blocks(BigNat(7), 10**4, 10**4)
             _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            wide = BigNat(7).to_blocks(10**6, 2)
+            _, wide_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert blocks == [BigNat(7)] + [BigNat(0)] * (10**4 - 1)
         assert peak < 10**6
+        assert wide == [BigNat(7), BigNat(0)]
+        assert wide_peak < 4 * 10**6
 
     def test_inverse_of_from_blocks(self):
         # Blocks below 10**width are cut back out exactly as they went in.
@@ -226,9 +233,9 @@ class TestRowViaPower:
 
     @pytest.mark.parametrize("n", [255, 256, 257, 1810])
     def test_rows_either_side_of_the_cut_chunk(self, n):
-        # n + 1 = 256, 257 and 258 blocks: exactly two 128-block chunks of
-        # the cut, then one and two blocks past them. 1810 is the
-        # benchmark's million-digit row.
+        # n + 1 = 256, 257 and 258 blocks, the shapes a chunked cut of 128
+        # blocks once had to straddle, kept as long rows of sub-limb
+        # shifts. 1810 is the benchmark's million-digit row.
         row = rowgen.row_via_power(n)
         assert [c.to_int() for c in row.coefficients] == [
             comb(n, k) for k in range(n + 1)
