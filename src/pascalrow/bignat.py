@@ -23,6 +23,9 @@ schoolbook product and the top-level normalisation of the Karatsuba
 product.
 The scalar steps ``mul_small`` and ``divmod_small`` keep their own loops:
 they are the independent steps of the multiplicative oracle.
+Limbs, scalars, digit offsets, block widths and counts, and exponents are
+all taken through ``operator.index``: a float raises TypeError, and a
+numpy integer becomes a Python int.
 
 Multiplication has two paths that must agree bit-exactly. ``*``,
 ``mul_quadratic`` and ``mul_subquadratic`` share one entry that counts
@@ -191,10 +194,14 @@ class BigNat:
         # uint32 matrix rather than twice it.
         positions = np.arange(1, matrix.shape[1] + 1, dtype=np.uint32)
         lengths = np.where(matrix != 0, positions, 0).max(axis=1, initial=0)
-        return [
-            cls._raw(tuple(row[:length]))
-            for row, length in zip(matrix.tolist(), lengths.tolist())
+        # Rows are popped off the end as their numbers are built, so each
+        # row's list is freed once its tuple exists and the list of rows
+        # and the tuples are never all held at once.
+        rows = matrix.tolist()
+        numbers = [
+            cls._raw(tuple(rows.pop()[:length])) for length in lengths[::-1].tolist()
         ]
+        return numbers[::-1]
 
     def to_blocks(self, width: int, count: int) -> list["BigNat"]:
         """Cut self into `count` blocks of `width` digits, rightmost first.
@@ -205,6 +212,7 @@ class BigNat:
         over the limbs, and the top column is cut to the block's width.
         Blocks above the leading digit are zero and allocate nothing.
         """
+        width, count = operator.index(width), operator.index(count)
         if width < 1:
             raise ValueError(f"block width must be >= 1, got {width}")
         if count < 1:
@@ -255,7 +263,7 @@ class BigNat:
         since the previous cut are carried, so the carry work is linear in
         the blocks, not in the sum of the cuts.
         """
-        return _block_sums(blocks, width, cuts)
+        return _block_sums(blocks, operator.index(width), cuts)
 
     @classmethod
     def from_decimal(cls, text: str) -> "BigNat":
@@ -388,6 +396,7 @@ class BigNat:
 
     def pow(self, exponent: int) -> "BigNat":
         """Exact power by left-to-right binary powering; 0**0 is defined as 1."""
+        exponent = operator.index(exponent)
         if exponent < 0:
             raise ValueError(f"exponent must be >= 0, got {exponent}")
         if exponent == 0:
@@ -413,6 +422,7 @@ class BigNat:
 
         Nothing above the cut is built.
         """
+        k = operator.index(k)
         if k < 0:
             raise ValueError(f"split point must be >= 0, got {k}")
         limbs = self._limbs
@@ -429,6 +439,7 @@ class BigNat:
 
         Nothing below the cut is built.
         """
+        k = operator.index(k)
         if k < 0:
             raise ValueError(f"split point must be >= 0, got {k}")
         limbs = self._limbs
@@ -449,6 +460,7 @@ class BigNat:
 
 def pow10(k: int) -> BigNat:
     """The power of ten with k zeros."""
+    k = operator.index(k)
     if k < 0:
         raise ValueError(f"exponent must be >= 0, got {k}")
     whole, part = divmod(k, RADIX_DIGITS)

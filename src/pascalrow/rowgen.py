@@ -141,12 +141,10 @@ def partition_blocks(x: BigNat, width: int, expected: int) -> list[BigNat]:
 
 
 def row_via_power(n: int) -> Row:
-    """Row n read off the digit blocks of the power integer."""
+    """Row n read off the digit blocks of the power integer: C(n, k) is block k."""
     geometry = theta(n)
     blocks = partition_blocks(power_integer(n), geometry.block_width, n + 1)
-    return Row(
-        n=n, coefficients=tuple(reversed(blocks)), method=Method.POWER_PARTITION
-    )
+    return Row(n=n, coefficients=tuple(blocks), method=Method.POWER_PARTITION)
 
 
 def generate_row(method: Method, n: int) -> Row:

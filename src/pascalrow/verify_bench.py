@@ -29,18 +29,6 @@ from . import bignat, oracle, rowgen
 from .bignat import BigNat, pow10
 from .row import Method, Row
 
-#: Canonical check order, used for report columns and JSON key order.
-CHECK_NAMES = (
-    "row_equality",
-    "digit_length",
-    "residue_identity",
-    "leading_block",
-    "lemma1_bound",
-    "symmetry",
-    "row_sum",
-    "weighted_sum_11",
-)
-
 #: Fixed benchmark CSV header.
 BENCH_CSV_HEADER = "method,n,theta,result_digits,big_mul_count,median_wall_time_ns"
 
@@ -264,8 +252,10 @@ def _check_rows(
     seed: int,
 ) -> list[RowVerification]:
     """Check rows first, first + step, ... up to last, with validated arguments."""
-    row_checks = [name for name in selected if name in _ROW_CHECKS]
-    block_checks = [name for name in selected if name in _BLOCK_CHECKS]
+    row_checks, block_checks = [], []
+    for name in selected:
+        check, per_block = _CHECKS[name]
+        (block_checks if per_block else row_checks).append((name, check))
     additive_rows = None
     if "row_equality" in selected:
         additive_rows = oracle.iter_recurrence_rows(first, step)
@@ -274,13 +264,13 @@ def _check_rows(
     for n in range(first, last + 1, step):
         facts = _RowFacts(n, next(additive_rows) if additive_rows else None)
         found: dict[str, list] = {name: [] for name in selected}
-        for name in row_checks:
-            found[name] += _ROW_CHECKS[name](facts)
+        for name, check in row_checks:
+            found[name] += check(facts)
         if block_checks:
             rs = _sample_r_values(n, residue_samples, seed)
             for residue in rowgen.residues(facts.oracle_row, rs):
-                for name in block_checks:
-                    found[name] += _BLOCK_CHECKS[name](facts, residue)
+                for name, check in block_checks:
+                    found[name] += check(facts, residue)
         results.append(
             RowVerification(
                 n=n,
@@ -427,18 +417,21 @@ def _evaluation(row: str, width: int):
     return check
 
 
-_ROW_CHECKS = {
-    "row_equality": _row_equality,
-    "digit_length": _digit_length,
-    "symmetry": _symmetry,
-    "row_sum": _evaluation("power_row", 0),
-    "weighted_sum_11": _evaluation("oracle_row", 1),
+# Every check family in canonical order, name -> (check, per_block): a
+# per-block check runs once for each sampled block count r.
+_CHECKS = {
+    "row_equality": (_row_equality, False),
+    "digit_length": (_digit_length, False),
+    "residue_identity": (_residue_identity, True),
+    "leading_block": (_leading_block, True),
+    "lemma1_bound": (_lemma1_bound, True),
+    "symmetry": (_symmetry, False),
+    "row_sum": (_evaluation("power_row", 0), False),
+    "weighted_sum_11": (_evaluation("oracle_row", 1), False),
 }
-_BLOCK_CHECKS = {
-    "residue_identity": _residue_identity,
-    "leading_block": _leading_block,
-    "lemma1_bound": _lemma1_bound,
-}
+
+#: Canonical check order, used for report columns and JSON key order.
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def _result_digits(method: Method, row: Row) -> int:

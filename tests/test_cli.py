@@ -194,12 +194,12 @@ class TestVerifyCommand:
         result = run_python(
             "import os, sys\n"
             "from pascalrow import cli, verify_bench\n"
-            "symmetry = verify_bench._ROW_CHECKS['symmetry']\n"
+            "symmetry, per_block = verify_bench._CHECKS['symmetry']\n"
             "def dying(facts):\n"
             "    if facts.n == 70:\n"
             "        os._exit(3)\n"
             "    return symmetry(facts)\n"
-            "verify_bench._ROW_CHECKS['symmetry'] = dying\n"
+            "verify_bench._CHECKS['symmetry'] = (dying, per_block)\n"
             "sys.exit(cli.run_cli(['verify', '--from', '0', '--to', '120',\n"
             f"                      '--out', {str(target)!r}]))\n"
         )

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from pascalrow import bignat, oracle, rowgen, verify_bench
-from pascalrow.bignat import BigNat
+from pascalrow.bignat import BigNat, pow10
 from pascalrow.row import Method, Row
 from pascalrow.verify_bench import (
     BENCH_CSV_HEADER,
@@ -227,6 +227,23 @@ class TestVerifyRange:
         }
         assert [(f.check, f.r, f.expected, f.actual) for f in result.failures] == [
             (failing, None, str(expected), str(actual))
+        ]
+
+    def test_block_k_is_coefficient_k(self, monkeypatch):
+        # A +1 planted in block 2 of row 6's power (width 2) is C(6, 2) off
+        # by one: both oracles name k = 2, and symmetry compares it with
+        # C(6, 4), which still reads 15.
+        true_power = rowgen.power_integer
+
+        def planted(n):
+            return true_power(n) + pow10(2 * rowgen.theta(n).block_width)
+
+        monkeypatch.setattr(rowgen, "power_integer", planted)
+        result = verify_range(6, 6, checks=["row_equality", "symmetry"]).results[0]
+        assert [(f.check, f.r, f.expected, f.actual) for f in result.failures] == [
+            ("row_equality", 2, "multiplicative:15", "16"),
+            ("row_equality", 2, "recurrence:15", "16"),
+            ("symmetry", 2, "15", "16"),
         ]
 
     def test_block_width_one_digit_too_wide_fails_digit_length(self, monkeypatch):
