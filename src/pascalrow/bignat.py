@@ -23,9 +23,10 @@ schoolbook product and the top-level normalisation of the Karatsuba
 product.
 The scalar steps ``mul_small`` and ``divmod_small`` keep their own loops:
 they are the independent steps of the multiplicative oracle.
-Limbs, scalars, digit offsets, block widths and counts, and exponents are
-all taken through ``operator.index``: a float raises TypeError, and a
-numpy integer becomes a Python int.
+Values, limbs, scalars, digit offsets, block widths and counts, and
+exponents are all taken through ``operator.index``: a float raises
+TypeError, and a numpy integer becomes a Python int. ``BigNat(True)`` is
+refused.
 
 Multiplication has two paths that must agree bit-exactly. ``*``,
 ``mul_quadratic`` and ``mul_subquadratic`` share one entry that counts
@@ -49,7 +50,8 @@ remaining exponent bit squares the result and, for a set bit, multiplies
 it by the base. That is ``bit_length - 1`` squarings and ``popcount - 1``
 products, each of the latter with the small base as one factor: once the
 power is long enough, and while the base has at most 512 limbs, that is
-one convolution leaf.
+one convolution leaf. The number of products is the same as for
+right-to-left powering.
 
 Carries in the Karatsuba recursion follow one rule: every node and every
 operand sum ends in exactly one vectorised carry step (a floor ``divmod``
@@ -137,8 +139,9 @@ class BigNat:
     __slots__ = ("_limbs",)
 
     def __init__(self, value: int = 0):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not hasattr(value, "__index__") or isinstance(value, bool):
             raise TypeError(f"BigNat takes an int, got {type(value).__name__}")
+        value = operator.index(value)
         if value < 0:
             raise ValueError(f"BigNat is unsigned, got {value}")
         limbs = []
@@ -175,7 +178,9 @@ class BigNat:
 
         The matrix counterpart of from_limbs: every limb is range-checked in
         one pass, the first bad one (in row-major order) named in the error,
-        and each row loses its leading zero limbs.
+        and each row loses its leading zero limbs. Each row's list is freed
+        once its number is built, so the matrix is never held as Python
+        lists beside all the numbers.
         """
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or not np.issubdtype(matrix.dtype, np.integer):
@@ -194,9 +199,7 @@ class BigNat:
         # uint32 matrix rather than twice it.
         positions = np.arange(1, matrix.shape[1] + 1, dtype=np.uint32)
         lengths = np.where(matrix != 0, positions, 0).max(axis=1, initial=0)
-        # Rows are popped off the end as their numbers are built, so each
-        # row's list is freed once its tuple exists and the list of rows
-        # and the tuples are never all held at once.
+        # Rows are popped off the end as their numbers are built.
         rows = matrix.tolist()
         numbers = [
             cls._raw(tuple(rows.pop()[:length])) for length in lengths[::-1].tolist()
@@ -210,7 +213,8 @@ class BigNat:
         high_digits's shift at the block's digit offset, taken for every
         block at once: limb column j of all blocks is one numpy expression
         over the limbs, and the top column is cut to the block's width.
-        Blocks above the leading digit are zero and allocate nothing.
+        Blocks above the leading digit are zero and allocate nothing, so
+        memory follows the digits present, not count * width.
         """
         width, count = operator.index(width), operator.index(count)
         if width < 1:
@@ -258,12 +262,21 @@ class BigNat:
     ) -> Iterator["BigNat"]:
         """Yield from_blocks(blocks[:cut], width) for each cut, in one pass.
 
-        `cuts` must be non-decreasing and at most len(blocks). Each block is
-        scaled once; at each cut only the limbs from the first one touched
-        since the previous cut are carried, so the carry work is linear in
-        the blocks, not in the sum of the cuts.
+        `cuts` must be non-decreasing and at most len(blocks); the width and
+        the cuts are checked here, before the first sum is asked for. Each
+        block is scaled once; at each cut only the limbs from the first one
+        touched since the previous cut are carried, so the carry work is
+        linear in the blocks, not in the sum of the cuts.
         """
-        return _block_sums(blocks, operator.index(width), cuts)
+        width, cuts = operator.index(width), tuple(cuts)
+        if width < 0:
+            raise ValueError(f"block width must be >= 0, got {width}")
+        for done, cut in zip((0, *cuts), cuts):
+            if not done <= cut <= len(blocks):
+                raise ValueError(
+                    f"cut {cut} out of order or beyond {len(blocks)} blocks"
+                )
+        return _block_sums(blocks, width, cuts)
 
     @classmethod
     def from_decimal(cls, text: str) -> "BigNat":
@@ -291,7 +304,11 @@ class BigNat:
         return self._limbs
 
     def to_decimal(self) -> str:
-        """Decimal rendering with no leading zeros ("0" for zero)."""
+        """Decimal rendering with no leading zeros ("0" for zero).
+
+        One ``%`` format over the limbs: no division, as the radix is a
+        power of ten.
+        """
         limbs = self._limbs
         if not limbs:
             return "0"
@@ -491,16 +508,10 @@ def _block_sums(
     blocks: Sequence[BigNat], width: int, cuts: Iterable[int]
 ) -> Iterator[BigNat]:
     # The one column builder, behind from_block_prefixes (and so
-    # from_blocks) and +.
-    if width < 0:
-        raise ValueError(f"block width must be >= 0, got {width}")
+    # from_blocks), which checks the width and cuts, and +.
     columns = []
     done = 0
     for cut in cuts:
-        if not done <= cut <= len(blocks):
-            raise ValueError(
-                f"cut {cut} out of order or beyond {len(blocks)} blocks"
-            )
         start = done * width // RADIX_DIGITS
         for i in range(done, cut):
             whole, part = divmod(i * width, RADIX_DIGITS)

@@ -25,6 +25,9 @@ _ONE = BigNat(1)
 
 def binomial(n: int, k: int) -> BigNat:
     """Exact C(n, k) via the multiplicative recurrence."""
+    import operator
+
+    n = operator.index(n)
     if not 0 <= k <= n:
         raise ValueError(f"binomial needs 0 <= k <= n, got n={n} k={k}")
     for value in _multiplicative(n, min(k, n - k)):
@@ -34,6 +37,9 @@ def binomial(n: int, k: int) -> BigNat:
 
 def row_multiplicative(n: int) -> Row:
     """Whole row in one left-to-right pass of the multiplicative recurrence."""
+    import operator
+
+    n = operator.index(n)
     return Row(
         n=n, coefficients=tuple(_multiplicative(n, n)), method=Method.MULTIPLICATIVE
     )
@@ -49,6 +55,9 @@ def iter_recurrence_rows(start: int = 0, step: int = 1) -> Iterator[Row]:
     consume this iterator rather than call row_recurrence per index, which
     restarts from the apex.
     """
+    import operator
+
+    start, step = operator.index(start), operator.index(step)
     if start < 0:
         raise ValueError(f"row index must be >= 0, got {start}")
     if step < 1:
@@ -75,6 +84,9 @@ def row_recurrence(n: int) -> Row:
 
 def central_digit_count(n: int) -> int:
     """Decimal digits of the largest coefficient in row n, C(n, n//2)."""
+    import operator
+
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"row index must be >= 0, got {n}")
     return binomial(n, n // 2).digit_count()

@@ -60,8 +60,12 @@ def theta(n: int) -> ThetaResult:
     the coefficient itself so there is no rounding boundary to guard. The
     coefficient comes from its prime factorisation (central_coefficient),
     not from the oracle's recurrence, so the verify sweep's oracle row is
-    an independent check of it.
+    an independent check of it. n is taken through operator.index, so the
+    result's n is a Python int.
     """
+    import operator
+
+    n = operator.index(n)
     width = central_coefficient(n).digit_count()
     return ThetaResult(n=n, theta=width - 1, block_width=width)
 
@@ -143,6 +147,7 @@ def partition_blocks(x: BigNat, width: int, expected: int) -> list[BigNat]:
 def row_via_power(n: int) -> Row:
     """Row n read off the digit blocks of the power integer: C(n, k) is block k."""
     geometry = theta(n)
+    n = geometry.n
     blocks = partition_blocks(power_integer(n), geometry.block_width, n + 1)
     return Row(n=n, coefficients=tuple(blocks), method=Method.POWER_PARTITION)
 
@@ -204,10 +209,10 @@ def residues(oracle_row: Row, rs: Sequence[int]) -> Iterator[Residue]:
     """Both sides of the residue identity for each block count in `rs`.
 
     `oracle_row` is the multiplicative oracle's row n, built by the caller
-    for as long as it checks that row. `rs` must be ascending. The
-    truncated sums come from one prefix pass over its coefficients, so
-    every block is laid down once per row however many block counts are
-    sampled.
+    for as long as it checks that row. `rs` must be ascending, and is
+    checked here, before the first residue is asked for. The truncated
+    sums come from one prefix pass over its coefficients, so every block
+    is laid down once per row however many block counts are sampled.
     """
     n = oracle_row.n
     width = theta(n).block_width
@@ -216,14 +221,16 @@ def residues(oracle_row: Row, rs: Sequence[int]) -> Iterator[Residue]:
             raise ValueError(f"block count r={r} outside 1..{n + 1} for row {n}")
     power = power_integer(n)
     sums = BigNat.from_block_prefixes(oracle_row.coefficients, width, rs)
-    for r, truncated_sum in zip(rs, sums):
-        yield Residue(
+    return (
+        Residue(
             n=n,
             r=r,
             width=width,
             remainder=power.low_digits(r * width),
             truncated_sum=truncated_sum,
         )
+        for r, truncated_sum in zip(rs, sums)
+    )
 
 
 def residue(n: int, r: int) -> Residue:

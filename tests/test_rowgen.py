@@ -1,9 +1,11 @@
 """Tests for the block-partition construction and its executable checks."""
 
+import json
 import random
 import tracemalloc
 from math import comb, prod
 
+import numpy as np
 import pytest
 
 from pascalrow import oracle, rowgen
@@ -345,3 +347,48 @@ def test_clear_caches_leaves_results_unchanged():
     before = rowgen.row_via_power(40)
     rowgen.clear_caches()
     assert rowgen.row_via_power(40) == before
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: BigNat.from_block_prefixes([BigNat(1)], -1, [1]),
+        lambda: BigNat.from_block_prefixes([BigNat(1)], 1, [3]),
+        lambda: BigNat.from_block_prefixes([BigNat(1)] * 3, 1, [2, 1]),
+        lambda: rowgen.residues(oracle.row_multiplicative(3), [9]),
+    ],
+    ids=["negative-width", "cut-beyond-blocks", "cuts-out-of-order", "r-beyond-row"],
+)
+def test_lazy_sums_check_their_arguments_at_the_call(call):
+    # Each returns a generator; a bad argument must raise before any next().
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        (lambda: rowgen.row_via_power(np.int64(6)).n, 6),
+        (lambda: rowgen.theta(np.int64(7)).n, 7),
+        (lambda: oracle.row_recurrence(np.int64(3)).n, 3),
+        (lambda: next(oracle.iter_recurrence_rows(np.int64(2), np.int64(3))).n, 2),
+        (lambda: oracle.row_multiplicative(True).n, 1),
+        (lambda: BigNat(np.int64(5)).to_int(), 5),
+        (lambda: rowgen.theta(5.0), TypeError),
+        (lambda: oracle.binomial(-1.0, 0), TypeError),
+        (lambda: oracle.central_digit_count(-1.0), TypeError),
+    ],
+    ids=[
+        "row_via_power", "theta", "row_recurrence", "iter_recurrence_rows",
+        "row_multiplicative-bool", "BigNat", "theta-float", "binomial-float",
+        "central_digit_count-float",
+    ],
+)  # fmt: skip
+def test_row_indices_and_values_enter_as_int(call, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected, match="cannot be interpreted as an integer"):
+            call()
+    else:
+        got = call()
+        assert type(got) is int and got == expected
+        assert json.dumps(got) == str(expected)
