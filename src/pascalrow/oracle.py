@@ -12,34 +12,31 @@ multiplies nothing and calls none of the product code.
 
 from __future__ import annotations
 
+import operator
 from itertools import count
 from typing import Iterator
 
 import numpy as np
 
-from .bignat import RADIX, BigNat
-from .row import Method, Row
+from .bignat import RADIX, BigNat, _int_at_least
+from .row import Method, Row, row_index
 
 _ONE = BigNat(1)
 
 
 def binomial(n: int, k: int) -> BigNat:
     """Exact C(n, k) via the multiplicative recurrence."""
-    import operator
-
     n = operator.index(n)
     if not 0 <= k <= n:
         raise ValueError(f"binomial needs 0 <= k <= n, got n={n} k={k}")
-    for value in _multiplicative(n, min(k, n - k)):
+    for value in _multiplicative(row_index(n), min(k, n - k)):
         pass
     return value
 
 
 def row_multiplicative(n: int) -> Row:
     """Whole row in one left-to-right pass of the multiplicative recurrence."""
-    import operator
-
-    n = operator.index(n)
+    n = row_index(n)
     return Row(
         n=n, coefficients=tuple(_multiplicative(n, n)), method=Method.MULTIPLICATIVE
     )
@@ -53,15 +50,14 @@ def iter_recurrence_rows(start: int = 0, step: int = 1) -> Iterator[Row]:
     BigNat coefficients only when it is yielded, so rows before `start`
     and between yields are never converted. Sweeps over many rows should
     consume this iterator rather than call row_recurrence per index, which
-    restarts from the apex.
+    restarts from the apex. The arguments are checked at the call, before
+    the first row is asked for.
     """
-    import operator
+    start = _int_at_least(start, 0, "row index")
+    return _recurrence_rows(start, _int_at_least(step, 1, "step"))
 
-    start, step = operator.index(start), operator.index(step)
-    if start < 0:
-        raise ValueError(f"row index must be >= 0, got {start}")
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
+
+def _recurrence_rows(start: int, step: int) -> Iterator[Row]:
     # Row n as an (n+1) x L int64 matrix, one base-RADIX coefficient per
     # matrix row, least significant limb first.
     matrix = np.ones((1, 1), dtype=np.int64)
@@ -84,22 +80,14 @@ def row_recurrence(n: int) -> Row:
 
 def central_digit_count(n: int) -> int:
     """Decimal digits of the largest coefficient in row n, C(n, n//2)."""
-    import operator
-
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"row index must be >= 0, got {n}")
+    n = row_index(n)
     return binomial(n, n // 2).digit_count()
 
 
 def _multiplicative(n: int, k: int) -> Iterator[BigNat]:
     # C(n, 0), C(n, 1), ..., C(n, k) by C(n, j+1) = C(n, j) * (n-j) / (j+1),
     # every division exact. binomial and row_multiplicative are this one
-    # recurrence run to k and to n, so its guards on n live here alone.
-    if n < 0:
-        raise ValueError(f"row index must be >= 0, got {n}")
-    if n >= RADIX:
-        raise ValueError(f"row index {n} too large for scalar recurrence steps")
+    # recurrence run to k and to n; both pass n through row_index first.
     value = _ONE
     yield value
     for j in range(k):

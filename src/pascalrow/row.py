@@ -1,11 +1,11 @@
-"""Row record shared by the generator and the oracles."""
+"""Row record and row-index rule shared by the generator and the oracles."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
 
-from .bignat import BigNat
+from .bignat import RADIX, BigNat, _int_at_least
 
 
 class Method(enum.Enum):
@@ -35,3 +35,17 @@ class Row:
                 f"row {self.n} needs {self.n + 1} coefficients, "
                 f"got {len(self.coefficients)}"
             )
+
+
+def row_index(n: int) -> int:
+    """n as a Python int, refused unless 0 <= n < RADIX.
+
+    The integer-argument guard (a float raises TypeError) plus the reach of
+    the scalar steps: the oracle's mul_small and divmod_small by n - j and
+    j + 1, and theta's prime factors up to n, are single limbs only below
+    RADIX.
+    """
+    n = _int_at_least(n, 0, "row index")
+    if n >= RADIX:
+        raise ValueError(f"row index {n} too large for scalar recurrence steps")
+    return n

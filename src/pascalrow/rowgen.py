@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 from . import oracle
 from .bignat import RADIX, BigNat, pow10
-from .row import Method, Row
+from .row import Method, Row, row_index
 
 _ONE = BigNat(1)
 
@@ -60,12 +60,11 @@ def theta(n: int) -> ThetaResult:
     the coefficient itself so there is no rounding boundary to guard. The
     coefficient comes from its prime factorisation (central_coefficient),
     not from the oracle's recurrence, so the verify sweep's oracle row is
-    an independent check of it. n is taken through operator.index, so the
-    result's n is a Python int.
+    an independent check of it. n is taken through row.row_index
+    (operator.index and the bounds 0 <= n < RADIX), so the result's n is a
+    Python int.
     """
-    import operator
-
-    n = operator.index(n)
+    n = row_index(n)
     width = central_coefficient(n).digit_count()
     return ThetaResult(n=n, theta=width - 1, block_width=width)
 
@@ -75,14 +74,11 @@ def central_coefficient(n: int) -> BigNat:
 
     One mul_small per packed factor (see _central_factors); no division.
     Every factor is a single-limb scalar only while every prime is, so n
-    must stay below RADIX, the same bound as the oracle's scalar steps.
+    must stay below RADIX, the same bound as the oracle's scalar steps
+    (row.row_index).
     """
-    if n < 0:
-        raise ValueError(f"row index must be >= 0, got {n}")
-    if n >= RADIX:
-        raise ValueError(f"row index {n} too large for scalar recurrence steps")
     value = _ONE
-    for factor in _central_factors(n):
+    for factor in _central_factors(row_index(n)):
         value = value.mul_small(factor)
     return value
 
@@ -146,8 +142,9 @@ def partition_blocks(x: BigNat, width: int, expected: int) -> list[BigNat]:
 
 def row_via_power(n: int) -> Row:
     """Row n read off the digit blocks of the power integer: C(n, k) is block k."""
+    # One int key for both caches: theta(np.int64(6)) and theta(6) differ.
+    n = row_index(n)
     geometry = theta(n)
-    n = geometry.n
     blocks = partition_blocks(power_integer(n), geometry.block_width, n + 1)
     return Row(n=n, coefficients=tuple(blocks), method=Method.POWER_PARTITION)
 

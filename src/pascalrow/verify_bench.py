@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from . import bignat, oracle, rowgen
-from .bignat import BigNat, pow10
+from .bignat import BigNat, _int_at_least, pow10
 from .row import Method, Row
 
 #: Fixed benchmark CSV header.
@@ -158,12 +158,9 @@ def bench_methods(
     result_digits is the largest integer a method materializes: the full
     power for power_partition, the central coefficient otherwise.
     """
-    if n_from < 0 or n_from > n_to:
-        raise ValueError(f"need 0 <= n_from <= n_to, got {n_from}..{n_to}")
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    _validated_range(n_from, n_to)
+    step = _int_at_least(step, 1, "step")
+    repetitions = _int_at_least(repetitions, 1, "repetitions")
 
     records = []
     for n in range(n_from, n_to + 1, step):
@@ -233,13 +230,16 @@ def emit_report(
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
+def _validated_range(n_from: int, n_to: int) -> None:
+    if n_from < 0 or n_from > n_to:
+        raise ValueError(f"need 0 <= n_from <= n_to, got {n_from}..{n_to}")
+
+
 def _validated_sweep(
     n_from: int, n_to: int, checks: Sequence[str] | None, residue_samples: int
 ) -> tuple[str, ...]:
-    if n_from < 0 or n_from > n_to:
-        raise ValueError(f"need 0 <= n_from <= n_to, got {n_from}..{n_to}")
-    if residue_samples < 1:
-        raise ValueError(f"residue_samples must be >= 1, got {residue_samples}")
+    _validated_range(n_from, n_to)
+    _int_at_least(residue_samples, 1, "residue_samples")
     return _validated_checks(checks)
 
 

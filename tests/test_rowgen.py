@@ -342,6 +342,15 @@ def test_caches_hold_the_last_row_only():
     assert rowgen.power_integer.cache_info().hits == hits + 1
 
 
+def test_one_row_is_one_cache_key():
+    # A numpy row index becomes the int key power_integer asks theta for, so
+    # C(6, 3) is built once.
+    rowgen.clear_caches()
+    rowgen.row_via_power(np.int64(6))
+    info = rowgen.theta.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
 def test_clear_caches_leaves_results_unchanged():
     rowgen.clear_caches()
     before = rowgen.row_via_power(40)
@@ -356,9 +365,14 @@ def test_clear_caches_leaves_results_unchanged():
         lambda: BigNat.from_block_prefixes([BigNat(1)], 1, [3]),
         lambda: BigNat.from_block_prefixes([BigNat(1)] * 3, 1, [2, 1]),
         lambda: rowgen.residues(oracle.row_multiplicative(3), [9]),
+        lambda: oracle.iter_recurrence_rows(-1),
+        lambda: oracle.iter_recurrence_rows(0, 0),
     ],
-    ids=["negative-width", "cut-beyond-blocks", "cuts-out-of-order", "r-beyond-row"],
-)
+    ids=[
+        "negative-width", "cut-beyond-blocks", "cuts-out-of-order", "r-beyond-row",
+        "negative-start", "zero-step",
+    ],
+)  # fmt: skip
 def test_lazy_sums_check_their_arguments_at_the_call(call):
     # Each returns a generator; a bad argument must raise before any next().
     with pytest.raises(ValueError):
