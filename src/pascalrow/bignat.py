@@ -11,16 +11,19 @@ never in limbs. At width 0 every block sits at offset 0, which is the
 plain sum: addition is ``from_blocks`` of the two terms at width 0.
 ``from_block_prefixes`` lays the blocks down once and yields
 that sum at each of several cuts; ``from_blocks`` is its single-cut case.
-``to_blocks`` is ``high_digits``'s limb shift applied to every block at
-once in numpy, one limb column of all blocks per step, with no digit or
-text in between; it ends in ``from_limb_rows``, the matrix counterpart of
-``from_limbs``: one range check over a whole limb matrix, then one number
-per row.
+``block_matrix`` is the cut itself: ``high_digits``'s limb shift applied
+to every block at once in numpy, one limb column of all blocks per step,
+with no digit or text in between, giving one row of limbs per block.
+``to_blocks`` is ``from_limb_rows`` of that matrix, the matrix
+counterpart of ``from_limbs``: one range check over a whole limb matrix,
+then one number per row. ``to_limb_rows`` is its inverse, and
+``from_column_sums`` adds up a limb matrix's rows from its column sums,
+so a row of blocks can be compared and summed without a number per block.
 
 Column sums become limbs in one place: a single exact carry pass over
-Python-int columns. It finishes ``from_blocks`` (and so addition), the
-schoolbook product and the top-level normalisation of the Karatsuba
-product.
+Python-int columns. It finishes ``from_blocks`` (and so addition),
+``from_column_sums``, the schoolbook product and the top-level
+normalisation of the Karatsuba product.
 The scalar steps ``mul_small`` and ``divmod_small`` keep their own loops:
 they are the independent steps of the multiplicative oracle.
 Values, limbs, scalars, digit offsets, block widths and counts, and
@@ -81,6 +84,7 @@ the limbs of that power's products (figures at
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from typing import Iterable, Iterator, Sequence
 
@@ -100,7 +104,7 @@ DEFAULT_KARATSUBA_THRESHOLD = 32
 # fit int64 in one node column.
 _CONV_BASE_LIMBS = 512
 
-# 10**0 .. 10**7, the sub-limb shifts and masks of to_blocks.
+# 10**0 .. 10**7, the sub-limb shifts and masks of block_matrix.
 _POW10 = np.array([10**k for k in range(RADIX_DIGITS + 1)], dtype=np.uint32)
 
 _karatsuba_threshold = DEFAULT_KARATSUBA_THRESHOLD
@@ -213,15 +217,57 @@ class BigNat:
         ]
         return numbers[::-1]
 
+    @staticmethod
+    def to_limb_rows(numbers: Sequence["BigNat"]) -> np.ndarray:
+        """The inverse of from_limb_rows: one uint32 row of limbs per number.
+
+        Rows are little-endian and padded with zero limbs to the longest
+        number's length. All the limbs are laid down in one masked
+        assignment, in row-major order.
+        """
+        lengths = np.fromiter(map(len, (x._limbs for x in numbers)), np.intp)
+        matrix = np.zeros((len(lengths), lengths.max(initial=0)), np.uint32)
+        limbs = itertools.chain.from_iterable(x._limbs for x in numbers)
+        matrix[np.arange(matrix.shape[1]) < lengths[:, None]] = np.fromiter(
+            limbs, np.uint32, int(lengths.sum())
+        )
+        return matrix
+
+    @classmethod
+    def from_column_sums(cls, columns: Iterable[int]) -> "BigNat":
+        """sum(columns[j] * RADIX**j) for non-negative integer column sums.
+
+        The sum of the numbers whose limbs are a matrix's rows is this of
+        the matrix's column sums: the one exact carry pass, whatever the
+        columns' size.
+        """
+        columns = list(map(operator.index, columns))
+        for column in columns:
+            if column < 0:
+                raise ValueError(f"column sum {column} is negative")
+        return cls._raw(_carried(columns))
+
     def to_blocks(self, width: int, count: int) -> list["BigNat"]:
         """Cut self into `count` blocks of `width` digits, rightmost first.
 
-        The inverse of from_blocks for blocks below 10**width. Each block is
-        high_digits's shift at the block's digit offset, taken for every
-        block at once: limb column j of all blocks is one numpy expression
-        over the limbs, and the top column is cut to the block's width.
-        Blocks above the leading digit are zero and allocate nothing, so
-        memory follows the digits present, not count * width.
+        The inverse of from_blocks for blocks below 10**width: one number
+        per row of block_matrix(width, count), then a zero for each block
+        above the leading digit.
+        """
+        matrix = self.block_matrix(width, count)
+        return BigNat.from_limb_rows(matrix) + [_ZERO] * (count - len(matrix))
+
+    def block_matrix(self, width: int, count: int) -> np.ndarray:
+        """The limbs of self's `width`-digit blocks, one uint32 row per block.
+
+        Row i holds block i (rightmost first) as little-endian limbs, the
+        same number of them in every row. Each block is high_digits's shift
+        at the block's digit offset, taken for every block at once: limb
+        column j of all blocks is one numpy expression over the limbs, and
+        the top column is cut to the block's width. Only the blocks up to
+        the leading digit get a row; the rest, up to `count`, are zero and
+        allocate nothing, so memory follows the digits present, not
+        count * width.
         """
         width = _int_at_least(width, 1, "block width")
         count = _int_at_least(count, 1, "block count")
@@ -247,7 +293,7 @@ class BigNat:
             low, high = high, np.take(limbs, whole + j + 1, mode="clip")
             matrix[:, j] = low // pivot + high % pivot * shift
         matrix[:, -1] %= _POW10[width - RADIX_DIGITS * (block_limbs - 1)]
-        return BigNat.from_limb_rows(matrix) + [_ZERO] * (count - present)
+        return matrix
 
     @classmethod
     def from_blocks(cls, blocks: Iterable["BigNat"], width: int) -> "BigNat":

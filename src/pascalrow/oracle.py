@@ -13,7 +13,6 @@ multiplies nothing and calls none of the product code.
 from __future__ import annotations
 
 import operator
-from itertools import count
 from typing import Iterator
 
 import numpy as np
@@ -45,30 +44,42 @@ def row_multiplicative(n: int) -> Row:
 def iter_recurrence_rows(start: int = 0, step: int = 1) -> Iterator[Row]:
     """Yield rows start, start + step, start + 2*step, ... by the additive rule.
 
-    Every row from the apex on is stepped as an int64 limb matrix (see
-    _next_limb_matrix) with additions and carries only; a row becomes
+    The rows of iter_recurrence_matrices(start, step), each turned into
     BigNat coefficients only when it is yielded, so rows before `start`
     and between yields are never converted. Sweeps over many rows should
     consume this iterator rather than call row_recurrence per index, which
     restarts from the apex. The arguments are checked at the call, before
     the first row is asked for.
     """
-    start = _int_at_least(start, 0, "row index")
-    return _recurrence_rows(start, _int_at_least(step, 1, "step"))
-
-
-def _recurrence_rows(start: int, step: int) -> Iterator[Row]:
-    # Row n as an (n+1) x L int64 matrix, one base-RADIX coefficient per
-    # matrix row, least significant limb first.
-    matrix = np.ones((1, 1), dtype=np.int64)
-    for _ in range(start):
-        matrix = _next_limb_matrix(matrix)
-    for n in count(start, step):
-        yield Row(
-            n=n,
+    return (
+        Row(
+            n=len(matrix) - 1,
             coefficients=tuple(BigNat.from_limb_rows(matrix)),
             method=Method.RECURRENCE,
         )
+        for matrix in iter_recurrence_matrices(start, step)
+    )
+
+
+def iter_recurrence_matrices(start: int = 0, step: int = 1) -> Iterator[np.ndarray]:
+    """Yield rows start, start + step, ... by the additive rule, as limb matrices.
+
+    Row n is an (n+1) x L int64 matrix, one coefficient per matrix row as
+    little-endian base-RADIX limbs, L the central coefficient's limb
+    count. Every row from the apex on is stepped (see _next_limb_matrix)
+    with additions and carries only. The arguments are checked at the
+    call, before the first row is asked for.
+    """
+    start = _int_at_least(start, 0, "row index")
+    return _recurrence_matrices(start, _int_at_least(step, 1, "step"))
+
+
+def _recurrence_matrices(start: int, step: int) -> Iterator[np.ndarray]:
+    matrix = np.ones((1, 1), dtype=np.int64)
+    for _ in range(start):
+        matrix = _next_limb_matrix(matrix)
+    while True:
+        yield matrix
         for _ in range(step):
             matrix = _next_limb_matrix(matrix)
 

@@ -202,21 +202,21 @@ class Residue:
         return str(self.truncated_sum), str(self.remainder)
 
 
-def residues(oracle_row: Row, rs: Sequence[int]) -> Iterator[Residue]:
+def residues(power: BigNat, oracle_row: Row, rs: Sequence[int]) -> Iterator[Residue]:
     """Both sides of the residue identity for each block count in `rs`.
 
-    `oracle_row` is the multiplicative oracle's row n, built by the caller
-    for as long as it checks that row. `rs` must be ascending, and is
-    checked here, before the first residue is asked for. The truncated
-    sums come from one prefix pass over its coefficients, so every block
-    is laid down once per row however many block counts are sampled.
+    `power` is row n's power and `oracle_row` the multiplicative oracle's
+    row n, both built by the caller for as long as it checks that row.
+    `rs` must be ascending, and is checked here, before the first residue
+    is asked for. The truncated sums come from one prefix pass over the
+    oracle row's coefficients, so every block is laid down once per row
+    however many block counts are sampled.
     """
     n = oracle_row.n
     width = theta(n).block_width
     for r in rs:
         if not 1 <= r <= n + 1:
             raise ValueError(f"block count r={r} outside 1..{n + 1} for row {n}")
-    power = power_integer(n)
     sums = BigNat.from_block_prefixes(oracle_row.coefficients, width, rs)
     return (
         Residue(
@@ -232,7 +232,7 @@ def residues(oracle_row: Row, rs: Sequence[int]) -> Iterator[Residue]:
 
 def residue(n: int, r: int) -> Residue:
     """Both sides of the r-block residue identity for row n, each built once."""
-    return next(residues(oracle.row_multiplicative(n), (r,)))
+    return next(residues(power_integer(n), oracle.row_multiplicative(n), (r,)))
 
 
 def residue_partial_sum(n: int, r: int) -> BigNat:

@@ -2,10 +2,13 @@
 
 verify_range runs every enabled check family for each n in a range and
 returns structured pass/fail data; failures are data, not exceptions, and
-carry enough detail to reproduce the failing case standalone.
-verify_range_parallel gives the same report with the rows dealt
-round-robin to forked worker processes, one per CPU; verify_range and the
-workers run the same row loop.
+carry enough detail to reproduce the failing case standalone. Its row
+loop builds each row's power with one product from the previous row's
+while the block width holds, and compares, mirrors and sums rows as limb
+matrices, one coefficient per matrix row. verify_range_parallel gives the
+same report with the range cut into contiguous runs of about equal work,
+one per forked worker process and CPU; each worker runs the same row loop
+over its run.
 bench_methods times the three row generators against each other with an
 instrumented multiplication counter. emit_report serializes either result
 to CSV or JSON lines.
@@ -19,11 +22,15 @@ import random
 import statistics
 import sys
 import time
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from os import PathLike
 from pathlib import Path
 from typing import IO, Sequence
+
+import numpy as np
 
 from . import bignat, oracle, rowgen
 from .bignat import BigNat, _int_at_least, pow10
@@ -95,7 +102,7 @@ def verify_range(
     timings play no part in it.
     """
     selected = _validated_sweep(n_from, n_to, checks, residue_samples)
-    results = _check_rows(n_from, n_to, 1, selected, residue_samples, seed)
+    results = _check_rows(n_from, n_to, selected, residue_samples, seed)
     return VerifyReport(n_from, n_to, seed, residue_samples, selected, results)
 
 
@@ -108,15 +115,16 @@ def verify_range_parallel(
 ) -> VerifyReport:
     """verify_range(n_from, n_to, ...), with the rows checked in parallel.
 
-    Row n depends on n alone, so the rows are dealt round-robin to k
-    forked worker processes, k = min(CPUs this process may run on, rows):
-    worker i checks rows n_from + i, n_from + i + k, ... as one task. The
-    parent merges their results by n, so the report is the one
-    verify_range returns, whatever k is. Arguments are validated before
-    any process starts. Workers inherit the parent's module state through
-    the fork, the multiplication threshold included. A worker that dies
-    raises ChildProcessError: no report is written, so the message names
-    the whole range.
+    Row n depends on n alone, so n_from..n_to is cut into k contiguous
+    runs, one per forked worker process, k = min(CPUs this process may run
+    on, rows). The cuts come from n alone and give each run about equal
+    work (see _runs); each worker checks its run as verify_range would,
+    stepping each power from the row before. The parent joins the runs in
+    order, so the report is the one verify_range returns, whatever k is.
+    Arguments are validated before any process starts. Workers inherit the
+    parent's module state through the fork, the multiplication threshold
+    included. A worker that dies raises ChildProcessError: no report is
+    written, so the message names the whole range.
     """
     # Imported here: the pool costs start-up time no other command needs.
     import multiprocessing
@@ -128,10 +136,8 @@ def verify_range_parallel(
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=fork) as pool:
         tasks = [
-            pool.submit(
-                _check_rows, first, n_to, workers, selected, residue_samples, seed
-            )
-            for first in range(n_from, n_from + workers)
+            pool.submit(_check_rows, first, last, selected, residue_samples, seed)
+            for first, last in _runs(n_from, n_to, workers)
         ]
         try:
             parts = [task.result() for task in tasks]
@@ -140,7 +146,7 @@ def verify_range_parallel(
                 f"a verify worker process died; rows {n_from}..{n_to} were not checked"
             ) from None
 
-    results = sorted((row for part in parts for row in part), key=lambda row: row.n)
+    results = [row for part in parts for row in part]
     return VerifyReport(n_from, n_to, seed, residue_samples, selected, results)
 
 
@@ -246,29 +252,37 @@ def _validated_sweep(
 def _check_rows(
     first: int,
     last: int,
-    step: int,
     selected: tuple[str, ...],
     residue_samples: int,
     seed: int,
 ) -> list[RowVerification]:
-    """Check rows first, first + step, ... up to last, with validated arguments."""
+    """Check rows first..last, one contiguous run, with validated arguments."""
     row_checks, block_checks = [], []
     for name in selected:
         check, per_block = _CHECKS[name]
         (block_checks if per_block else row_checks).append((name, check))
-    additive_rows = None
+    additive_matrices = None
     if "row_equality" in selected:
-        additive_rows = oracle.iter_recurrence_rows(first, step)
+        additive_matrices = oracle.iter_recurrence_matrices(first)
+    # The construction's own power, and by width the values (10**width +
+    # 1)**n that the row read at x = 10**width must equal.
+    ladders = {
+        "power": _Ladder(lambda base, n: rowgen.power_integer(n)),
+        0: _Ladder(BigNat.pow),
+        1: _Ladder(BigNat.pow),
+    }
 
     results = []
-    for n in range(first, last + 1, step):
-        facts = _RowFacts(n, next(additive_rows) if additive_rows else None)
+    for n in range(first, last + 1):
+        facts = _RowFacts(
+            n, ladders, next(additive_matrices) if additive_matrices else None
+        )
         found: dict[str, list] = {name: [] for name in selected}
         for name, check in row_checks:
             found[name] += check(facts)
         if block_checks:
             rs = _sample_r_values(n, residue_samples, seed)
-            for residue in rowgen.residues(facts.oracle_row, rs):
+            for residue in rowgen.residues(facts.power, facts.oracle_row, rs):
                 for name, check in block_checks:
                     found[name] += check(facts, residue)
         results.append(
@@ -284,6 +298,28 @@ def _check_rows(
             )
         )
     return results
+
+
+def _runs(n_from: int, n_to: int, k: int) -> list[tuple[int, int]]:
+    # n_from..n_to cut into k contiguous (first, last) runs, 1 <= k <= rows,
+    # each holding about a k-th of the rows' summed work, taken as
+    # (n + 1) * (n + 200) for row n: a part per coefficient and a part per
+    # digit of the power (about 0.3 * n**2 digits), which overtakes it near
+    # n = 200. Two runs of 0..300 then split at 228, and measured 0.28 and
+    # 0.27 s of CPU (one process, Python 3.11, a shared 2-CPU x86 host);
+    # weights of (n + 1)**2 split at 239, 0.31 and 0.24 s. Each cut is
+    # moved, if it must be, so that every run keeps at least one row.
+    totals = list(
+        accumulate((n + 1) * (n + 200) for n in range(n_from, n_to + 1))
+    )
+    edges = [0]
+    for i in range(1, k):
+        edge = bisect_left(totals, totals[-1] * i / k) + 1
+        edges.append(min(max(edge, edges[-1] + 1), len(totals) - k + i))
+    edges.append(len(totals))
+    return [
+        (n_from + start, n_from + stop - 1) for start, stop in zip(edges, edges[1:])
+    ]
 
 
 def _validated_checks(checks: Sequence[str] | None) -> tuple[str, ...]:
@@ -316,26 +352,94 @@ def _sample_r_values(n: int, residue_samples: int, seed: int) -> list[int]:
     return sorted(values)
 
 
+class _Ladder:
+    """(10**w + 1)**n for the rows of one run, each by one product from the last.
+
+    Row n steps from row n - 1's value when that row was asked for at the
+    same w; any other row starts over with start(10**w + 1, n). Both go
+    through BigNat's counted products.
+    """
+
+    def __init__(self, start):
+        self._start = start
+        self._key = self._base = self._value = None
+
+    def at(self, n: int, w: int) -> BigNat:
+        if self._key == (n - 1, w):
+            self._value = self._value * self._base
+        else:
+            self._base = pow10(w) + BigNat(1)
+            self._value = self._start(self._base, n)
+        self._key = (n, w)
+        return self._value
+
+
 class _RowFacts:
     """What the checks read about row n; each fact is built on first use, once.
 
-    The facts live as long as the row. Nothing built for row n outlives
-    it except the one-row caches of rowgen.theta and rowgen.power_integer,
-    which the next row replaces.
+    The power and the values of the row read at x = 1 and x = 10 come from
+    the run's ladders, so each is one product from the row before while
+    the block width holds. The rows the checks compare are limb matrices,
+    one coefficient per matrix row: the power's block cut, the additive
+    oracle's matrix as stepped, and the multiplicative oracle's numbers
+    packed once. A BigNat or a string is built from them only for a
+    failure's detail. The facts live as long as the row. Nothing built for
+    row n outlives it except the ladders' last values and the one-row
+    caches of rowgen.theta and rowgen.power_integer.
     """
 
-    def __init__(self, n: int, additive_row: Row | None):
+    def __init__(self, n: int, ladders: dict, additive_matrix: np.ndarray | None):
         self.n = n
         self.geometry = rowgen.theta(n)
-        self.additive_row = additive_row
+        self._ladders = ladders
+        self.additive_matrix = additive_matrix
 
     @cached_property
-    def power_row(self) -> Row:
-        return rowgen.row_via_power(self.n)
+    def power(self) -> BigNat:
+        return self._ladders["power"].at(self.n, self.geometry.block_width)
+
+    def eleven_power(self, width: int) -> BigNat:
+        """(10**width + 1)**n, the row read at x = 10**width."""
+        return self._ladders[width].at(self.n, width)
+
+    @cached_property
+    def power_matrix(self) -> np.ndarray:
+        # n + 1 rows: the cut gives none to the zero blocks above a short
+        # power's leading digit.
+        return _padded(
+            self.power.block_matrix(self.geometry.block_width, self.n + 1), self.n + 1
+        )
 
     @cached_property
     def oracle_row(self) -> Row:
         return oracle.row_multiplicative(self.n)
+
+    @cached_property
+    def oracle_matrix(self) -> np.ndarray:
+        return BigNat.to_limb_rows(self.oracle_row.coefficients)
+
+
+def _padded(matrix: np.ndarray, rows: int, limbs: int = 0) -> np.ndarray:
+    # matrix with zero rows and limb columns added up to rows x limbs.
+    limbs = max(limbs, matrix.shape[1])
+    if matrix.shape == (rows, limbs):
+        return matrix
+    out = np.zeros((rows, limbs), matrix.dtype)
+    out[: matrix.shape[0], : matrix.shape[1]] = matrix
+    return out
+
+
+def _first_unequal(a: np.ndarray, b: np.ndarray) -> int | None:
+    # The first row at which limb matrices of equally many rows hold
+    # different numbers, or None.
+    limbs = max(a.shape[1], b.shape[1])
+    a, b = _padded(a, len(a), limbs), _padded(b, len(b), limbs)
+    unequal = np.flatnonzero((a != b).any(axis=1))
+    return int(unequal[0]) if unequal.size else None
+
+
+def _number(matrix: np.ndarray, k: int) -> BigNat:
+    return BigNat.from_limb_rows(matrix[k : k + 1])[0]
 
 
 # Each check yields (r, expected, actual) per failing case and nothing when
@@ -344,15 +448,14 @@ class _RowFacts:
 
 
 def _row_equality(facts):
-    got = facts.power_row.coefficients
+    got = facts.power_matrix
     for label, other in (
-        ("multiplicative", facts.oracle_row),
-        ("recurrence", facts.additive_row),
+        ("multiplicative", facts.oracle_matrix),
+        ("recurrence", facts.additive_matrix),
     ):
-        for k, (mine, want) in enumerate(zip(got, other.coefficients)):
-            if mine != want:
-                yield k, f"{label}:{want}", str(mine)
-                break
+        k = _first_unequal(got, other)
+        if k is not None:
+            yield k, f"{label}:{_number(other, k)}", str(_number(got, k))
 
 
 def _digit_length(facts):
@@ -364,7 +467,7 @@ def _digit_length(facts):
     if width != central:
         yield None, f"block width {central}", f"block width {width}"
     expected = facts.n * width + 1
-    actual = rowgen.power_integer(facts.n).digit_count()
+    actual = facts.power.digit_count()
     if actual != expected:
         yield None, str(expected), str(actual)
 
@@ -394,27 +497,37 @@ def _lemma1_bound(facts, residue):
 
 
 def _symmetry(facts):
-    coefficients = facts.power_row.coefficients
-    for k in range(len(coefficients) // 2):
-        if coefficients[k] != coefficients[facts.n - k]:
-            yield k, str(coefficients[facts.n - k]), str(coefficients[k])
-            return
+    coefficients = facts.power_matrix
+    half = len(coefficients) // 2
+    k = _first_unequal(coefficients[:half], coefficients[::-1][:half])
+    if k is not None:
+        yield k, str(_number(coefficients, facts.n - k)), str(_number(coefficients, k))
 
 
-def _evaluation(row: str, width: int):
-    """Check that `row` of the facts, read at x = 10**width, is (x + 1)**n.
+def _evaluation(value, width: int):
+    """Check that value(facts), a row read at x = 10**width, is (x + 1)**n.
 
     The construction's identity at one point: x = 1 (width 0) is the row
     sum 2**n, x = 10 (width 1) the weighted sum 11**n.
     """
 
     def check(facts):
-        value = BigNat.from_blocks(getattr(facts, row).coefficients, width)
-        expected = (pow10(width) + BigNat(1)).pow(facts.n)
-        if value != expected:
-            yield None, str(expected), str(value)
+        got = value(facts)
+        expected = facts.eleven_power(width)
+        if got != expected:
+            yield None, str(expected), str(got)
 
     return check
+
+
+def _power_row_sum(facts):
+    # The power row's column sums, carried: its coefficients' sum.
+    columns = facts.power_matrix.sum(axis=0, dtype=np.int64)
+    return BigNat.from_column_sums(columns.tolist())
+
+
+def _oracle_row_at_ten(facts):
+    return BigNat.from_blocks(facts.oracle_row.coefficients, 1)
 
 
 # Every check family in canonical order, name -> (check, per_block): a
@@ -426,8 +539,8 @@ _CHECKS = {
     "leading_block": (_leading_block, True),
     "lemma1_bound": (_lemma1_bound, True),
     "symmetry": (_symmetry, False),
-    "row_sum": (_evaluation("power_row", 0), False),
-    "weighted_sum_11": (_evaluation("oracle_row", 1), False),
+    "row_sum": (_evaluation(_power_row_sum, 0), False),
+    "weighted_sum_11": (_evaluation(_oracle_row_at_ten, 1), False),
 }
 
 #: Canonical check order, used for report columns and JSON key order.

@@ -524,6 +524,11 @@ class TestToBlocks:
                 blocks
             )
 
+    def test_block_matrix_rows_are_the_blocks_up_to_the_leading_digit(self):
+        matrix = BigNat(12_345_678_901_234).block_matrix(8, 5)
+        assert matrix.dtype == np.uint32 and matrix.shape == (2, 2)
+        assert BigNat.from_limb_rows(matrix) == [BigNat(78_901_234), BigNat(123_456)]
+
     def test_too_many_digits(self):
         with pytest.raises(ValueError, match=r"^5 digits do not fit 2 blocks of width 2$"):
             BigNat(12345).to_blocks(2, 2)
@@ -591,6 +596,43 @@ class TestFromLimbRows:
             tracemalloc.stop()
         assert BigNat.from_blocks(blocks, 553) == x
         assert peak < 1.35 * kept
+
+
+class TestToLimbRows:
+    def test_inverse_of_from_limb_rows(self):
+        # Zero, one limb, many limbs, and rows of unequal length padded to
+        # the longest.
+        rng = random.Random(41)
+        numbers = [BigNat(0), BigNat(bignat.RADIX - 1), BigNat(bignat.RADIX)]
+        numbers += [BigNat(rng.randrange(10 ** rng.randint(0, 60))) for _ in range(50)]
+        matrix = BigNat.to_limb_rows(numbers)
+        assert matrix.shape == (53, max(len(x.limbs) for x in numbers))
+        assert BigNat.from_limb_rows(matrix) == numbers
+
+    def test_empty(self):
+        assert BigNat.to_limb_rows([]).shape == (0, 0)
+        assert BigNat.to_limb_rows([BigNat(0)] * 3).shape == (3, 0)
+
+
+class TestFromColumnSums:
+    def test_sum_of_the_rows(self):
+        rng = random.Random(43)
+        numbers = [BigNat(rng.randrange(10**40)) for _ in range(300)]
+        columns = BigNat.to_limb_rows(numbers).sum(axis=0, dtype=np.int64)
+        assert BigNat.from_column_sums(columns.tolist()) == BigNat(
+            sum(x.to_int() for x in numbers)
+        )
+
+    def test_any_size_and_zero(self):
+        assert BigNat.from_column_sums([3 * bignat.RADIX**2 + 5, 0, 1]).to_int() == (
+            3 * bignat.RADIX**2 + 5 + bignat.RADIX**2
+        )
+        assert BigNat.from_column_sums([]) == BigNat(0)
+        assert BigNat.from_column_sums([0, 0]).limbs == ()
+
+    def test_rejects_a_negative_column(self):
+        with pytest.raises(ValueError, match=r"^column sum -1 is negative$"):
+            BigNat.from_column_sums([5, -1])
 
 
 class TestComparison:

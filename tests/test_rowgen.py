@@ -364,7 +364,7 @@ def test_clear_caches_leaves_results_unchanged():
         lambda: BigNat.from_block_prefixes([BigNat(1)], -1, [1]),
         lambda: BigNat.from_block_prefixes([BigNat(1)], 1, [3]),
         lambda: BigNat.from_block_prefixes([BigNat(1)] * 3, 1, [2, 1]),
-        lambda: rowgen.residues(oracle.row_multiplicative(3), [9]),
+        lambda: rowgen.residues(BigNat(1331), oracle.row_multiplicative(3), [9]),
         lambda: oracle.iter_recurrence_rows(-1),
         lambda: oracle.iter_recurrence_rows(0, 0),
     ],

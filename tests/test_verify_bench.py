@@ -33,12 +33,12 @@ def _emitted(report):
     return texts
 
 
-def _threshold_probe(first, last, step, selected, residue_samples, seed):
+def _threshold_probe(first, last, selected, residue_samples, seed):
     # Stands in for _check_rows in a worker: reports, as each row's theta,
     # the multiplication threshold the worker process sees.
     return [
         RowVerification(n, bignat.karatsuba_threshold(), {})
-        for n in range(first, last + 1, step)
+        for n in range(first, last + 1)
     ]
 
 
@@ -84,14 +84,14 @@ class TestVerifyRange:
         counted(rowgen, "central_coefficient")
         verify_range(0, 40, residue_samples=5, seed=0)
         # Per row: one prefix pass yields the truncated sums of all its
-        # sampled block counts, and two more (through from_blocks) build the
-        # row sum and the weighted sum; one oracle row, and one central
-        # coefficient from its prime factors (for theta). The digit_length
-        # check reads the oracle's central coefficient off its row, so
-        # oracle.binomial is never called.
+        # sampled block counts, and one more (through from_blocks) builds the
+        # weighted sum; the row sum is carried from the power's limb matrix.
+        # One oracle row, and one central coefficient from its prime factors
+        # (for theta). The digit_length check reads the oracle's central
+        # coefficient off its row, so oracle.binomial is never called.
         assert calls == {
-            "from_blocks": 41 + 41,
-            "from_block_prefixes": 41 + 41 + 41,
+            "from_blocks": 41,
+            "from_block_prefixes": 41 + 41,
             "row_multiplicative": 41,
             "central_coefficient": 41,
         }
@@ -114,10 +114,10 @@ class TestVerifyRange:
             assert result.checks == {name: name not in failing for name in CHECK_NAMES}
 
     def test_rows_before_range_not_converted(self, monkeypatch):
-        # The additive oracle steps its limb matrix up to n_from and turns
-        # only the checked rows into BigNat coefficients, one conversion per
-        # row. Counted at the oracle's own reference: the power rows' block
-        # cut converts limb matrices too.
+        # The sweep compares the additive oracle's limb matrices as they
+        # are stepped, so no row of it, before the range or in it, becomes
+        # BigNat coefficients. Counted at the oracle's own reference: the
+        # failure details convert limb matrices too.
         converted = []
 
         class CountingBigNat(BigNat):
@@ -129,12 +129,13 @@ class TestVerifyRange:
         monkeypatch.setattr(oracle, "BigNat", CountingBigNat)
         report = verify_range(150, 152, checks=["row_equality"])
         assert report.passed
-        assert converted == [151, 152, 153]
+        assert converted == []
 
-    def test_strided_rows_convert_only_their_own_rows(self, monkeypatch):
-        # A worker's loop: the additive oracle steps every row from the apex
-        # but converts only rows 150, 154 and 158, the ones this worker checks.
-        converted = []
+    def test_run_steps_the_additive_oracle_from_the_apex(self, monkeypatch):
+        # A worker's loop over one contiguous run: the additive oracle steps
+        # its matrix from row 0 to 150, then once per row up to 158, and
+        # converts none of its rows.
+        converted, steps = [], []
 
         class CountingBigNat(BigNat):
             @staticmethod
@@ -142,12 +143,16 @@ class TestVerifyRange:
                 converted.append(len(matrix))
                 return BigNat.from_limb_rows(matrix)
 
+        step = oracle._next_limb_matrix
         monkeypatch.setattr(oracle, "BigNat", CountingBigNat)
-        results = verify_bench._check_rows(150, 160, 4, ("row_equality",), 1, 0)
+        monkeypatch.setattr(
+            oracle, "_next_limb_matrix", lambda matrix: steps.append(1) or step(matrix)
+        )
+        results = verify_bench._check_rows(150, 158, ("row_equality",), 1, 0)
         assert [(result.n, result.passed) for result in results] == [
-            (150, True), (154, True), (158, True)
+            (n, True) for n in range(150, 159)
         ]
-        assert converted == [151, 155, 159]
+        assert (converted, len(steps)) == ([], 158)
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError, match="unknown check"):
@@ -201,26 +206,33 @@ class TestVerifyRange:
         assert failure.expected != failure.actual
 
     @pytest.mark.parametrize(
-        "owner,maker,failing,expected,actual",
+        "failing,expected,actual",
         [
-            (rowgen, "row_via_power", "row_sum", 2**6, 2**6 + 1),
-            (oracle, "row_multiplicative", "weighted_sum_11", 11**6, 11**6 + 100),
+            ("row_sum", 2**6, 2**6 + 1),
+            ("weighted_sum_11", 11**6, 11**6 + 100),
         ],
         ids=["row_sum", "weighted_sum_11"],
     )
-    def test_row_read_at_one_and_ten(
-        self, monkeypatch, owner, maker, failing, expected, actual
-    ):
-        # C(6, 2) off by one in the power row moves its sum off 2**6; in the
-        # oracle row it moves the row read at x = 10 off 11**6.
-        make = getattr(owner, maker)
+    def test_row_read_at_one_and_ten(self, monkeypatch, failing, expected, actual):
+        # C(6, 2) off by one in the power row (a +1 in block 2 of its power,
+        # width 2) moves its sum off 2**6; in the oracle row it moves the
+        # row read at x = 10 off 11**6.
+        if failing == "row_sum":
+            true_power = rowgen.power_integer
+            monkeypatch.setattr(
+                rowgen,
+                "power_integer",
+                lambda n: true_power(n) + pow10(2 * rowgen.theta(n).block_width),
+            )
+        else:
+            make = oracle.row_multiplicative
 
-        def bumped(n):
-            coefficients = list(make(n).coefficients)
-            coefficients[2] = coefficients[2] + BigNat(1)
-            return Row(n, tuple(coefficients), Method.POWER_PARTITION)
+            def bumped(n):
+                coefficients = list(make(n).coefficients)
+                coefficients[2] = coefficients[2] + BigNat(1)
+                return Row(n, tuple(coefficients), Method.MULTIPLICATIVE)
 
-        monkeypatch.setattr(owner, maker, bumped)
+            monkeypatch.setattr(oracle, "row_multiplicative", bumped)
         result = verify_range(6, 6, checks=["row_sum", "weighted_sum_11"]).results[0]
         assert result.checks == {
             name: name != failing for name in ("row_sum", "weighted_sum_11")
@@ -288,6 +300,74 @@ class TestVerifyRange:
         assert huge == full
 
 
+class TestLadder:
+    # Rows 0..60 cross 18 width changes; the block width of rows 9..12 is 3
+    # and of rows 30..32 is 9.
+
+    @pytest.mark.parametrize("runs", [[(0, 60)], [(0, 31), (32, 60)]])
+    def test_stepped_powers_are_the_powers(self, monkeypatch, runs):
+        # The power of every row reaches the block cut; a run cut inside a
+        # width run starts over at its first row.
+        powers = []
+        cut = BigNat.block_matrix
+
+        def recorded(power, width, count):
+            powers.append(power)
+            return cut(power, width, count)
+
+        monkeypatch.setattr(BigNat, "block_matrix", recorded)
+        for first, last in runs:
+            verify_bench._check_rows(first, last, ("symmetry",), 1, 0)
+        assert powers == [
+            rowgen.eleven_variant(rowgen.theta(n)).pow(n) for n in range(61)
+        ]
+
+    def test_wrong_first_power_fails_its_width_run_only(self, monkeypatch):
+        # C(9, 1) off by one in row 9's power, the first of width 3: each
+        # later row of that width is stepped from it and fails too; row 13
+        # starts width 4 from its own power and passes.
+        true_power = rowgen.power_integer
+
+        def planted(n):
+            if n != 9:
+                return true_power(n)
+            return true_power(n) + pow10(rowgen.theta(n).block_width)
+
+        monkeypatch.setattr(rowgen, "power_integer", planted)
+        report = verify_range(5, 16, checks=["row_equality"])
+        assert [result.n for result in report.results if not result.passed] == [
+            9, 10, 11, 12
+        ]
+        row_9 = report.results[4]
+        assert [(f.check, f.r, f.expected, f.actual) for f in row_9.failures] == [
+            ("row_equality", 1, "multiplicative:9", "10"),
+            ("row_equality", 1, "recurrence:9", "10"),
+        ]
+
+    def test_pow_and_product_counts(self, monkeypatch):
+        # 0..40 has 12 width runs, so 12 powers by pow (power_integer at n =
+        # 0, 5, 9, 13, 16, 20, 23, 26, 30, 33, 37, 40) and 29 steps; the row
+        # sum's 2**n and the weighted sum's 11**n each take one pow (of
+        # exponent 0, no product) and 40 steps. The 11 powers past n = 0
+        # take 60 products between them.
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(BigNat, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(BigNat, name, wrapper)
+
+        counted("pow")
+        counted("__mul__")
+        rowgen.clear_caches()
+        assert verify_range(0, 40, residue_samples=5, seed=0).passed
+        assert calls == {"pow": 12 + 2, "__mul__": 29 + 2 * 40 + 60}
+
+
 class TestVerifyRangeParallel:
     def test_full_sweep_matches_the_pinned_reports(self):
         # The digests criterion 5 pins for verify_range(0, 300, 5, seed=0).
@@ -335,6 +415,23 @@ class TestVerifyRangeParallel:
         fanned = verify_range_parallel(5, 40, residue_samples=2, seed=3)
         assert not fanned.passed
         assert _emitted(fanned) == _emitted(serial)
+
+    @pytest.mark.parametrize(
+        "n_from, n_to", [(0, 0), (0, 2), (5, 6), (37, 90), (0, 300), (1800, 1802)]
+    )
+    def test_runs_cover_the_range_in_order(self, n_from, n_to):
+        for k in range(1, min(8, n_to - n_from + 1) + 1):
+            runs = verify_bench._runs(n_from, n_to, k)
+            assert len(runs) == k
+            assert all(first <= last for first, last in runs)
+            assert [n for first, last in runs for n in range(first, last + 1)] == list(
+                range(n_from, n_to + 1)
+            )
+
+    def test_runs_split_work_not_rows(self):
+        # Later rows cost more, so the later of two runs over 0..300 is the
+        # shorter one.
+        assert verify_bench._runs(0, 300, 2) == [(0, 227), (228, 300)]
 
     def test_threshold_reaches_the_workers(self, monkeypatch):
         monkeypatch.setattr(verify_bench, "_check_rows", _threshold_probe)
