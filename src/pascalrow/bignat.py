@@ -104,7 +104,12 @@ DEFAULT_KARATSUBA_THRESHOLD = 32
 # fit int64 in one node column.
 _CONV_BASE_LIMBS = 512
 
-# 10**0 .. 10**7, the sub-limb shifts and masks of block_matrix.
+# Rows that from_block_matrix lays down in one int64 pass: 2**19 * 10**13
+# < 2**63 (see there).
+_LAY_DOWN_ROWS = 2**19
+
+# 10**0 .. 10**7, the sub-limb shifts and masks of block_matrix and the
+# digit offsets of from_block_matrix.
 _POW10 = np.array([10**k for k in range(RADIX_DIGITS + 1)], dtype=np.uint32)
 
 _karatsuba_threshold = DEFAULT_KARATSUBA_THRESHOLD
@@ -325,6 +330,50 @@ class BigNat:
                     f"cut {cut} out of order or beyond {len(blocks)} blocks"
                 )
         return _block_sums(blocks, width, cuts)
+
+    @classmethod
+    def from_block_matrix(cls, matrix, width: int) -> "BigNat":
+        """sum(row i * 10**(i * width)) over a matrix of little-endian limb rows.
+
+        from_blocks for blocks given as the rows of a limb matrix (as
+        block_matrix gives them, or to_limb_rows): every limb is scaled and
+        laid at its digit offset by one numpy scatter, and the columns are
+        carried once, with no number built per row. Exact for rows of any
+        size, as from_blocks is; every limb must lie in [0, RADIX).
+        """
+        width = _int_at_least(width, 0, "block width")
+        matrix = np.asarray(matrix)
+        if not matrix.size:
+            return _ZERO
+        if matrix.min() < 0 or matrix.max() >= RADIX:
+            raise ValueError(f"limb rows must lie in [0, {RADIX})")
+        rows, limbs = matrix.shape
+        whole, part = np.divmod(np.arange(rows, dtype=np.int64) * width, RADIX_DIGITS)
+        positions = whole[:, None] + np.arange(limbs)
+        scaled = matrix.astype(np.int64) * _POW10[part, None].astype(np.int64)
+        # Each scaled limb is below RADIX * 10**6 = 10**13, and a row puts at
+        # most one of them in any column, so a column of a pass over
+        # _LAY_DOWN_ROWS rows stays below 5.3e18 < 2**63. (At width 1, where
+        # seven rows start in each limb, a column stacks about 7 * limbs of
+        # them.) Wider matrices are laid down a pass at a time and the
+        # passes' numbers added.
+        parts = []
+        for start in range(0, rows, _LAY_DOWN_ROWS):
+            stop = start + _LAY_DOWN_ROWS
+            columns = np.zeros(int(whole[-1]) + limbs + 1, np.int64)
+            np.add.at(columns, positions[start:stop], scaled[start:stop])
+            # Three carry steps bring non-negative int64 columns within one
+            # of [0, RADIX), as at the top of the Karatsuba product; the
+            # exact pass starts at the first limb still outside it.
+            for _ in range(3):
+                columns = _carry(columns)
+            stray = np.flatnonzero(columns >= RADIX)
+            parts.append(
+                cls._raw(
+                    _carried(columns.tolist(), int(stray[0]) if stray.size else len(columns))
+                )
+            )
+        return functools.reduce(operator.add, parts)
 
     @classmethod
     def from_decimal(cls, text: str) -> "BigNat":

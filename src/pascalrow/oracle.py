@@ -5,9 +5,15 @@ the multiplicative recurrence C(n, j+1) = C(n, j) * (n-j) / (j+1) with
 exact division at every step, and the additive rule that builds each row
 from the previous one. They validate each other and the generator.
 
-The additive rule keeps a whole row as one int64 matrix of base-10**7
-limbs and steps it with vectorised additions and carries only: it
-multiplies nothing and calls none of the product code.
+Both also step a whole row as one int64 matrix of base-10**7 limbs, one
+coefficient per matrix row, and share no code in doing so. The additive
+rule uses vectorised additions and carries only: it multiplies nothing
+and calls none of the product code. The multiplicative rule steps row n
+to row n + 1 by C(n+1, k) = C(n, k) * (n+1) / (n+1-k): a scalar product
+of every coefficient at once, then an exact long division of each by its
+own divisor, every remainder checked. row_multiplicative and binomial
+(and so ``pascalrow row --method mult``) keep the within-row recurrence
+on BigNat.
 """
 
 from __future__ import annotations
@@ -84,6 +90,27 @@ def _recurrence_matrices(start: int, step: int) -> Iterator[np.ndarray]:
             matrix = _next_limb_matrix(matrix)
 
 
+def iter_multiplicative_matrices(start: int = 0) -> Iterator[np.ndarray]:
+    """Yield rows start, start + 1, ... by the multiplicative rule, as limb matrices.
+
+    The same layout as iter_recurrence_matrices. Row `start` is the
+    within-row recurrence's numbers, packed once by BigNat.to_limb_rows;
+    each later row is stepped from the one before (see
+    _next_multiplicative_matrix), so a sweep pays one vectorised step per
+    row instead of n scalar steps. `start` is checked at the call, and
+    each row index as it is reached, against row.row_index.
+    """
+    return _multiplicative_matrices(row_index(start))
+
+
+def _multiplicative_matrices(n: int) -> Iterator[np.ndarray]:
+    matrix = BigNat.to_limb_rows(tuple(_multiplicative(n, n))).astype(np.int64)
+    while True:
+        yield matrix
+        n = row_index(n + 1)
+        matrix = _next_multiplicative_matrix(matrix, n)
+
+
 def row_recurrence(n: int) -> Row:
     """Row n by the additive rule, built from row 0 upward."""
     return next(iter_recurrence_rows(n))
@@ -127,4 +154,33 @@ def _next_limb_matrix(matrix: np.ndarray) -> np.ndarray:
             break
         following -= over * RADIX
         following[:, 1:] += over[:, :-1]
+    return following if following[:, -1].any() else following[:, :-1]
+
+
+def _next_multiplicative_matrix(matrix: np.ndarray, n: int) -> np.ndarray:
+    # Row n from row n - 1: C(n, k) = C(n-1, k) * n / (n - k) for k < n, and
+    # C(n, n) = 1, with one spare limb column, dropped while it is zero.
+    # Both passes run over the limb columns, each column one numpy step for
+    # every coefficient at once, and stay in int64 because n < RADIX:
+    # bottom up, a limb times n plus a carry below n is below RADIX**2;
+    # top down, a remainder below its divisor n - k times RADIX, plus a
+    # limb, is too, and each quotient limb is below RADIX.
+    rows, limbs = matrix.shape
+    following = np.zeros((rows + 1, limbs + 1), dtype=np.int64)
+    carry = np.zeros(rows, dtype=np.int64)
+    for j in range(limbs):
+        carry, following[:-1, j] = np.divmod(matrix[:, j] * n + carry, RADIX)
+    following[:-1, limbs] = carry
+    divisors = n - np.arange(rows, dtype=np.int64)
+    remainder = np.zeros(rows, dtype=np.int64)
+    for j in range(limbs, -1, -1):
+        following[:-1, j], remainder = np.divmod(
+            remainder * RADIX + following[:-1, j], divisors
+        )
+    if remainder.any():
+        k = int(np.flatnonzero(remainder)[0])
+        raise ArithmeticError(
+            f"inexact division by {n - k} in multiplicative step to row {n}"
+        )
+    following[-1, 0] = 1
     return following if following[:, -1].any() else following[:, :-1]

@@ -18,8 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from . import oracle
-from .bignat import RADIX, BigNat, pow10
+from .bignat import RADIX, RADIX_DIGITS, BigNat, pow10
 from .row import Method, Row, row_index
 
 _ONE = BigNat(1)
@@ -202,22 +204,31 @@ class Residue:
         return str(self.truncated_sum), str(self.remainder)
 
 
-def residues(power: BigNat, oracle_row: Row, rs: Sequence[int]) -> Iterator[Residue]:
+def residues(power: BigNat, matrix: np.ndarray, rs: Sequence[int]) -> Iterator[Residue]:
     """Both sides of the residue identity for each block count in `rs`.
 
-    `power` is row n's power and `oracle_row` the multiplicative oracle's
-    row n, both built by the caller for as long as it checks that row.
-    `rs` must be ascending, and is checked here, before the first residue
-    is asked for. The truncated sums come from one prefix pass over the
-    oracle row's coefficients, so every block is laid down once per row
-    however many block counts are sampled.
+    `power` is row n's power and `matrix` the multiplicative oracle's row n
+    as a limb matrix, one coefficient per matrix row (as
+    oracle.iter_multiplicative_matrices yields it), both built by the
+    caller for as long as it checks that row. `rs` must be ascending, and
+    is checked here, before the first residue is asked for. The row is
+    laid down once at the block width: while every coefficient is below
+    10**width (checked on the matrix) no block carries, so the truncated
+    sum of r blocks is the low r * width digits of that one number. A row
+    with a wider coefficient takes the sums at each cut from one prefix
+    pass over its numbers instead, so the bound and the details report
+    what the blocks really sum to.
     """
-    n = oracle_row.n
+    n = len(matrix) - 1
     width = theta(n).block_width
     for r in rs:
         if not 1 <= r <= n + 1:
             raise ValueError(f"block count r={r} outside 1..{n + 1} for row {n}")
-    sums = BigNat.from_block_prefixes(oracle_row.coefficients, width, rs)
+    if _below_pow10(matrix, width):
+        laid = BigNat.from_block_matrix(matrix, width)
+        sums = (laid.low_digits(r * width) for r in rs)
+    else:
+        sums = BigNat.from_block_prefixes(BigNat.from_limb_rows(matrix), width, rs)
     return (
         Residue(
             n=n,
@@ -230,9 +241,18 @@ def residues(power: BigNat, oracle_row: Row, rs: Sequence[int]) -> Iterator[Resi
     )
 
 
+def _below_pow10(matrix: np.ndarray, digits: int) -> bool:
+    # Every row of a limb matrix holds a number below 10**digits.
+    whole, part = divmod(digits, RADIX_DIGITS)
+    if whole >= matrix.shape[1]:
+        return True
+    return not matrix[:, whole + 1 :].any() and bool((matrix[:, whole] < 10**part).all())
+
+
 def residue(n: int, r: int) -> Residue:
     """Both sides of the r-block residue identity for row n, each built once."""
-    return next(residues(power_integer(n), oracle.row_multiplicative(n), (r,)))
+    row = oracle.row_multiplicative(n)
+    return next(residues(power_integer(n), BigNat.to_limb_rows(row.coefficients), (r,)))
 
 
 def residue_partial_sum(n: int, r: int) -> BigNat:

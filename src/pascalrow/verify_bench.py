@@ -4,8 +4,11 @@ verify_range runs every enabled check family for each n in a range and
 returns structured pass/fail data; failures are data, not exceptions, and
 carry enough detail to reproduce the failing case standalone. Its row
 loop builds each row's power with one product from the previous row's
-while the block width holds, and compares, mirrors and sums rows as limb
-matrices, one coefficient per matrix row. verify_range_parallel gives the
+while the block width holds, steps both oracles' rows from the row
+before as limb matrices, one coefficient per matrix row, and compares,
+mirrors, sums and lays down rows in that form. A range whose last row is
+past the oracles' scalar steps (row.row_index) is refused before any row
+is checked. verify_range_parallel gives the
 same report with the range cut into contiguous runs of about equal work,
 one per forked worker process and CPU; each worker runs the same row loop
 over its run.
@@ -17,6 +20,7 @@ to CSV or JSON lines.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import random
 import statistics
@@ -33,8 +37,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import bignat, oracle, rowgen
-from .bignat import BigNat, _int_at_least, pow10
-from .row import Method, Row
+from .bignat import RADIX_DIGITS, BigNat, _int_at_least, pow10
+from .row import Method, Row, row_index
 
 #: Fixed benchmark CSV header.
 BENCH_CSV_HEADER = "method,n,theta,result_digits,big_mul_count,median_wall_time_ns"
@@ -101,7 +105,7 @@ def verify_range(
     seeded random r per n. The report is deterministic for a given seed;
     timings play no part in it.
     """
-    selected = _validated_sweep(n_from, n_to, checks, residue_samples)
+    n_from, n_to, selected = _validated_sweep(n_from, n_to, checks, residue_samples)
     results = _check_rows(n_from, n_to, selected, residue_samples, seed)
     return VerifyReport(n_from, n_to, seed, residue_samples, selected, results)
 
@@ -131,7 +135,7 @@ def verify_range_parallel(
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    selected = _validated_sweep(n_from, n_to, checks, residue_samples)
+    n_from, n_to, selected = _validated_sweep(n_from, n_to, checks, residue_samples)
     workers = min(len(os.sched_getaffinity(0)), n_to - n_from + 1)
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=fork) as pool:
@@ -164,7 +168,7 @@ def bench_methods(
     result_digits is the largest integer a method materializes: the full
     power for power_partition, the central coefficient otherwise.
     """
-    _validated_range(n_from, n_to)
+    n_from, n_to = _validated_range(n_from, n_to)
     step = _int_at_least(step, 1, "step")
     repetitions = _int_at_least(repetitions, 1, "repetitions")
 
@@ -236,17 +240,22 @@ def emit_report(
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
-def _validated_range(n_from: int, n_to: int) -> None:
+def _validated_range(n_from: int, n_to: int) -> tuple[int, int]:
+    # Both ends as Python ints, and the last row within the scalar steps'
+    # reach (row.row_index), so a range past it is refused before any row
+    # is checked.
+    n_from, n_to = operator.index(n_from), operator.index(n_to)
     if n_from < 0 or n_from > n_to:
         raise ValueError(f"need 0 <= n_from <= n_to, got {n_from}..{n_to}")
+    return n_from, row_index(n_to)
 
 
 def _validated_sweep(
     n_from: int, n_to: int, checks: Sequence[str] | None, residue_samples: int
-) -> tuple[str, ...]:
-    _validated_range(n_from, n_to)
+) -> tuple[int, int, tuple[str, ...]]:
+    n_from, n_to = _validated_range(n_from, n_to)
     _int_at_least(residue_samples, 1, "residue_samples")
-    return _validated_checks(checks)
+    return n_from, n_to, _validated_checks(checks)
 
 
 def _check_rows(
@@ -261,9 +270,12 @@ def _check_rows(
     for name in selected:
         check, per_block = _CHECKS[name]
         (block_checks if per_block else row_checks).append((name, check))
-    additive_matrices = None
+    additive_matrices = multiplicative_matrices = None
     if "row_equality" in selected:
         additive_matrices = oracle.iter_recurrence_matrices(first)
+    # Every check but these two reads the multiplicative oracle's row.
+    if not set(selected) <= {"symmetry", "row_sum"}:
+        multiplicative_matrices = oracle.iter_multiplicative_matrices(first)
     # The construction's own power, and by width the values (10**width +
     # 1)**n that the row read at x = 10**width must equal.
     ladders = {
@@ -275,14 +287,17 @@ def _check_rows(
     results = []
     for n in range(first, last + 1):
         facts = _RowFacts(
-            n, ladders, next(additive_matrices) if additive_matrices else None
+            n,
+            ladders,
+            next(additive_matrices) if additive_matrices else None,
+            next(multiplicative_matrices) if multiplicative_matrices else None,
         )
         found: dict[str, list] = {name: [] for name in selected}
         for name, check in row_checks:
             found[name] += check(facts)
         if block_checks:
             rs = _sample_r_values(n, residue_samples, seed)
-            for residue in rowgen.residues(facts.power, facts.oracle_row, rs):
+            for residue in rowgen.residues(facts.power, facts.multiplicative_matrix, rs):
                 for name, check in block_checks:
                     found[name] += check(facts, residue)
         results.append(
@@ -305,9 +320,10 @@ def _runs(n_from: int, n_to: int, k: int) -> list[tuple[int, int]]:
     # each holding about a k-th of the rows' summed work, taken as
     # (n + 1) * (n + 200) for row n: a part per coefficient and a part per
     # digit of the power (about 0.3 * n**2 digits), which overtakes it near
-    # n = 200. Two runs of 0..300 then split at 228, and measured 0.28 and
-    # 0.27 s of CPU (one process, Python 3.11, a shared 2-CPU x86 host);
-    # weights of (n + 1)**2 split at 239, 0.31 and 0.24 s. Each cut is
+    # n = 200. Two runs of 0..300 then split at 228, and measured 0.17 and
+    # 0.15 s of CPU (best of 5, one process, Python 3.11, numpy 2.4, a
+    # shared 2-CPU x86 host); weights of (n + 1)**2 split at 239, 0.19 and
+    # 0.14 s. Each cut is
     # moved, if it must be, so that every run keeps at least one row.
     totals = list(
         accumulate((n + 1) * (n + 200) for n in range(n_from, n_to + 1))
@@ -380,19 +396,30 @@ class _RowFacts:
     The power and the values of the row read at x = 1 and x = 10 come from
     the run's ladders, so each is one product from the row before while
     the block width holds. The rows the checks compare are limb matrices,
-    one coefficient per matrix row: the power's block cut, the additive
-    oracle's matrix as stepped, and the multiplicative oracle's numbers
-    packed once. A BigNat or a string is built from them only for a
-    failure's detail. The facts live as long as the row. Nothing built for
-    row n outlives it except the ladders' last values and the one-row
-    caches of rowgen.theta and rowgen.power_integer.
+    one coefficient per matrix row: the power's block cut, and both
+    oracles' matrices as stepped from the row before. Every oracle-side
+    fact is read off the multiplicative matrix: its rows are compared with
+    the power's and with the residues' leading blocks, and it is laid down
+    once at the block width for the residues and once at width 1 for the
+    row read at x = 10. A BigNat or a string is built from a row only for
+    a failure's detail. The facts live as long as the row. Nothing built
+    for row n outlives it except the ladders' last values, the oracles'
+    last matrices and the one-row caches of rowgen.theta and
+    rowgen.power_integer.
     """
 
-    def __init__(self, n: int, ladders: dict, additive_matrix: np.ndarray | None):
+    def __init__(
+        self,
+        n: int,
+        ladders: dict,
+        additive_matrix: np.ndarray | None,
+        multiplicative_matrix: np.ndarray | None,
+    ):
         self.n = n
         self.geometry = rowgen.theta(n)
         self._ladders = ladders
         self.additive_matrix = additive_matrix
+        self.multiplicative_matrix = multiplicative_matrix
 
     @cached_property
     def power(self) -> BigNat:
@@ -409,14 +436,6 @@ class _RowFacts:
         return _padded(
             self.power.block_matrix(self.geometry.block_width, self.n + 1), self.n + 1
         )
-
-    @cached_property
-    def oracle_row(self) -> Row:
-        return oracle.row_multiplicative(self.n)
-
-    @cached_property
-    def oracle_matrix(self) -> np.ndarray:
-        return BigNat.to_limb_rows(self.oracle_row.coefficients)
 
 
 def _padded(matrix: np.ndarray, rows: int, limbs: int = 0) -> np.ndarray:
@@ -442,6 +461,15 @@ def _number(matrix: np.ndarray, k: int) -> BigNat:
     return BigNat.from_limb_rows(matrix[k : k + 1])[0]
 
 
+def _digit_count(limbs: np.ndarray) -> int:
+    # Decimal digits of the number with these little-endian limbs; 1 for 0.
+    nonzero = np.flatnonzero(limbs)
+    if not nonzero.size:
+        return 1
+    top = int(nonzero[-1])
+    return RADIX_DIGITS * top + len(str(limbs[top]))
+
+
 # Each check yields (r, expected, actual) per failing case and nothing when
 # it passes; r is None for checks without a block index. Block checks also
 # take the residue of one block count r.
@@ -450,7 +478,7 @@ def _number(matrix: np.ndarray, k: int) -> BigNat:
 def _row_equality(facts):
     got = facts.power_matrix
     for label, other in (
-        ("multiplicative", facts.oracle_matrix),
+        ("multiplicative", facts.multiplicative_matrix),
         ("recurrence", facts.additive_matrix),
     ):
         k = _first_unequal(got, other)
@@ -463,7 +491,7 @@ def _digit_length(facts):
     # coefficient (theta builds it from prime factors, not from this row),
     # and the power must have n * width + 1 digits.
     width = facts.geometry.block_width
-    central = facts.oracle_row.coefficients[facts.n // 2].digit_count()
+    central = _digit_count(facts.multiplicative_matrix[facts.n // 2])
     if width != central:
         yield None, f"block width {central}", f"block width {width}"
     expected = facts.n * width + 1
@@ -482,9 +510,10 @@ def _leading_block(facts, residue):
         yield residue.r, *mismatch
         return
     got = residue.leading_block
-    want = facts.oracle_row.coefficients[residue.r - 1]
-    if got != want:
-        yield residue.r, str(want), str(got)
+    k = residue.r - 1
+    want = facts.multiplicative_matrix[k].tolist()
+    if list(got.limbs) + [0] * (len(want) - len(got.limbs)) != want:
+        yield residue.r, str(_number(facts.multiplicative_matrix, k)), str(got)
 
 
 def _lemma1_bound(facts, residue):
@@ -527,7 +556,7 @@ def _power_row_sum(facts):
 
 
 def _oracle_row_at_ten(facts):
-    return BigNat.from_blocks(facts.oracle_row.coefficients, 1)
+    return BigNat.from_block_matrix(facts.multiplicative_matrix, 1)
 
 
 # Every check family in canonical order, name -> (check, per_block): a

@@ -635,6 +635,51 @@ class TestFromColumnSums:
             BigNat.from_column_sums([5, -1])
 
 
+class TestFromBlockMatrix:
+    @staticmethod
+    def numbers(rng, rows, digits):
+        return [
+            BigNat(rng.choice((0, 10**digits - 1, rng.randrange(10**digits))))
+            for _ in range(rows)
+        ]
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 6, 7, 8, 13, 14, 30])
+    def test_against_from_blocks(self, width):
+        # Blocks narrower than, as wide as and wider than the width, from a
+        # uint32 cut and from int64 rows.
+        rng = random.Random(width)
+        for rows, digits in ((1, 1), (9, 3), (40, 20), (301, 90)):
+            numbers = self.numbers(rng, rows, digits)
+            matrix = BigNat.to_limb_rows(numbers)
+            expected = BigNat.from_blocks(numbers, width)
+            assert BigNat.from_block_matrix(matrix, width) == expected
+            assert BigNat.from_block_matrix(matrix.astype(np.int64), width) == expected
+
+    def test_inverse_of_block_matrix(self):
+        x = BigNat(11).pow(300)
+        assert BigNat.from_block_matrix(x.block_matrix(9, 40), 9) == x
+
+    def test_passes_of_few_rows_add_up(self, monkeypatch):
+        # A matrix with more rows than one int64 pass holds is laid down a
+        # pass at a time; three-row passes stand in for 2**19.
+        monkeypatch.setattr(bignat, "_LAY_DOWN_ROWS", 3)
+        rng = random.Random(5)
+        for width in (0, 1, 5, 11):
+            numbers = self.numbers(rng, 20, 25)
+            assert BigNat.from_block_matrix(
+                BigNat.to_limb_rows(numbers), width
+            ) == BigNat.from_blocks(numbers, width)
+
+    def test_empty_and_zero(self):
+        assert BigNat.from_block_matrix(np.zeros((0, 0), np.uint32), 3) == BigNat(0)
+        assert BigNat.from_block_matrix(np.zeros((4, 2), np.int64), 3).limbs == ()
+
+    @pytest.mark.parametrize("limb", [-1, bignat.RADIX])
+    def test_rejects_a_limb_out_of_range(self, limb):
+        with pytest.raises(ValueError, match="limb rows must lie in"):
+            BigNat.from_block_matrix(np.array([[1, limb]], np.int64), 2)
+
+
 class TestComparison:
     def test_equal(self):
         x = BigNat.from_decimal("31415926535897932384626")

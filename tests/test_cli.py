@@ -157,6 +157,20 @@ class TestVerifyCommand:
         assert out == ""
         assert "no checks" in err
 
+    def test_range_past_the_scalar_steps_is_usage_error(self, capsys, monkeypatch):
+        # Refused before any row is checked: ten million rows would come
+        # before the one out of reach.
+        def no_rows(*args):
+            raise AssertionError("a row was checked")
+
+        monkeypatch.setattr(verify_bench, "_check_rows", no_rows)
+        code, out, err = run(capsys, "verify", "--from", "0", "--to", "10000000")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "pascalrow: error: row index 10000000 too large for scalar recurrence steps\n"
+        )
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "verify.jsonl"
         code, out, _ = run(

@@ -84,6 +84,80 @@ class TestRowMultiplicative:
             oracle.row_multiplicative(-1)
 
 
+class TestMultiplicativeMatrices:
+    @staticmethod
+    def rows(start, count):
+        return enumerate(islice(oracle.iter_multiplicative_matrices(start), count), start)
+
+    @pytest.mark.parametrize("start", [0, 1, 9, 228])
+    def test_steps_against_comb(self, start):
+        # 30 rows from each start; rows 26, 237 and 261 each take one more
+        # limb column than the row before.
+        limbs = set()
+        for n, matrix in self.rows(start, 30):
+            assert matrix.dtype == np.int64
+            assert [c.to_int() for c in BigNat.from_limb_rows(matrix)] == [
+                comb(n, k) for k in range(n + 1)
+            ], n
+            limbs.add(matrix.shape[1])
+        assert len(limbs) > 1
+
+    def test_steps_from_1800(self):
+        # Row 1800 from the within-row recurrence, then 20 steps; row 1820
+        # takes one more limb column. math.comb is the slow side, so the
+        # first row and those around the growth are compared.
+        shapes = {}
+        for n, matrix in self.rows(1800, 21):
+            shapes[n] = matrix.shape
+            if n in (1800, 1801, 1819, 1820):
+                assert [str(c) for c in BigNat.from_limb_rows(matrix)] == [
+                    str(comb(n, k)) for k in range(n + 1)
+                ], n
+        assert shapes[1820][1] == shapes[1819][1] + 1
+
+    def test_step_carries_and_divides_across_limbs(self):
+        # Row k of a crafted matrix is (n - k) * q_k, so the step must give
+        # n * q_k exactly, then the appended 1; q_k are runs of 9s, zeros
+        # and random limbs. Near RADIX only the first 40 rows are crafted:
+        # there each limb times n is near RADIX**2.
+        rng = random.Random(23)
+        for n in (1, 2, 7, 40, RADIX - 1):
+            quotients = [
+                rng.choice((0, 1, RADIX**3 - 1, rng.randrange(RADIX**4)))
+                for _ in range(min(n, 40))
+            ]
+            matrix = BigNat.to_limb_rows(
+                [BigNat((n - k) * q) for k, q in enumerate(quotients)]
+            ).astype(np.int64)
+            got = oracle._next_multiplicative_matrix(matrix, n)
+            assert got.min() >= 0 and got.max() < RADIX
+            assert [c.to_int() for c in BigNat.from_limb_rows(got)] == [
+                n * q for q in quotients
+            ] + [1], n
+
+    def test_inexact_step_raises(self):
+        # C(6, 2) planted as 16: C(7, 2) would be 16 * 7 / 5.
+        matrix = next(oracle.iter_multiplicative_matrices(6)).copy()
+        matrix[2, 0] += 1
+        with pytest.raises(
+            ArithmeticError, match="inexact division by 5 in multiplicative step to row 7"
+        ):
+            oracle._next_multiplicative_matrix(matrix, 7)
+
+    def test_start_checked_at_the_call(self):
+        with pytest.raises(ValueError, match="row index must be >= 0, got -1"):
+            oracle.iter_multiplicative_matrices(-1)
+
+    def test_no_step_past_the_scalar_reach(self, monkeypatch):
+        # A stand-in row RADIX - 1 (its true numbers take 10**7 scalar
+        # steps): the step to row RADIX is refused, not taken.
+        monkeypatch.setattr(oracle, "_multiplicative", lambda n, k: iter([BigNat(1)]))
+        matrices = oracle.iter_multiplicative_matrices(RADIX - 1)
+        next(matrices)
+        with pytest.raises(ValueError, match="row index 10000000 too large"):
+            next(matrices)
+
+
 class TestRowRecurrence:
     def test_apex(self):
         row = oracle.row_recurrence(0)

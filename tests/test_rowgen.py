@@ -11,6 +11,7 @@ import pytest
 from pascalrow import oracle, rowgen
 from pascalrow.bignat import RADIX, BigNat, pow10
 from pascalrow.row import Method
+from pascalrow.verify_bench import verify_range
 
 
 class TestTheta:
@@ -292,6 +293,36 @@ class TestResiduePartialSum:
         assert err.actual == "9001"
 
 
+class TestResiduesFromTheMatrix:
+    @pytest.mark.parametrize("n", [0, 1, 9, 16, 51, 120])
+    def test_sums_are_the_prefix_sums_of_the_row(self, n):
+        # One lay-down of the row, cut at every block count, against the
+        # per-cut sums of its numbers.
+        matrix = next(oracle.iter_multiplicative_matrices(n))
+        rs = list(range(1, n + 2))
+        got = rowgen.residues(rowgen.power_integer(n), matrix, rs)
+        assert [residue.truncated_sum for residue in got] == list(
+            BigNat.from_block_prefixes(
+                BigNat.from_limb_rows(matrix), rowgen.theta(n).block_width, rs
+            )
+        )
+
+    def test_wider_coefficient_takes_the_per_cut_sums(self):
+        # C(9, 4) planted as 1126, one digit wider than the width 3: its
+        # block carries into the next, so the sum of five blocks has 16
+        # digits and breaks the bound; six blocks absorb the carry.
+        matrix = next(oracle.iter_multiplicative_matrices(9)).copy()
+        matrix[4, 0] += 1000
+        rs = list(range(1, 11))
+        got = list(rowgen.residues(rowgen.power_integer(9), matrix, rs))
+        assert [residue.truncated_sum for residue in got] == list(
+            BigNat.from_block_prefixes(BigNat.from_limb_rows(matrix), 3, rs)
+        )
+        assert [residue.r for residue in got if not residue.within_bound] == [5]
+        assert [residue.r for residue in got if residue.mismatch] == [5, 6, 7, 8, 9, 10]
+        assert got[4].mismatch == ("1126084036009001", "126084036009001")
+
+
 class TestLeadingBlock:
     def test_first_block(self):
         for n in (0, 4, 17):
@@ -364,13 +395,14 @@ def test_clear_caches_leaves_results_unchanged():
         lambda: BigNat.from_block_prefixes([BigNat(1)], -1, [1]),
         lambda: BigNat.from_block_prefixes([BigNat(1)], 1, [3]),
         lambda: BigNat.from_block_prefixes([BigNat(1)] * 3, 1, [2, 1]),
-        lambda: rowgen.residues(BigNat(1331), oracle.row_multiplicative(3), [9]),
+        lambda: rowgen.residues(BigNat(1331), next(oracle.iter_multiplicative_matrices(3)), [9]),
         lambda: oracle.iter_recurrence_rows(-1),
         lambda: oracle.iter_recurrence_rows(0, 0),
+        lambda: oracle.iter_multiplicative_matrices(-1),
     ],
     ids=[
         "negative-width", "cut-beyond-blocks", "cuts-out-of-order", "r-beyond-row",
-        "negative-start", "zero-step",
+        "negative-start", "zero-step", "negative-multiplicative-start",
     ],
 )  # fmt: skip
 def test_lazy_sums_check_their_arguments_at_the_call(call):
@@ -388,13 +420,16 @@ def test_lazy_sums_check_their_arguments_at_the_call(call):
         (lambda: next(oracle.iter_recurrence_rows(np.int64(2), np.int64(3))).n, 2),
         (lambda: oracle.row_multiplicative(True).n, 1),
         (lambda: BigNat(np.int64(5)).to_int(), 5),
+        (lambda: verify_range(np.int64(2), np.int64(3)).n_to, 3),
         (lambda: rowgen.theta(5.0), TypeError),
+        (lambda: verify_range(0, 3.0), TypeError),
         (lambda: oracle.binomial(-1.0, 0), TypeError),
         (lambda: oracle.central_digit_count(-1.0), TypeError),
     ],
     ids=[
         "row_via_power", "theta", "row_recurrence", "iter_recurrence_rows",
-        "row_multiplicative-bool", "BigNat", "theta-float", "binomial-float",
+        "row_multiplicative-bool", "BigNat", "verify_range", "theta-float",
+        "verify_range-float", "binomial-float",
         "central_digit_count-float",
     ],
 )  # fmt: skip

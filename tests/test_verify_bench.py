@@ -10,8 +10,8 @@ from collections import Counter
 import pytest
 
 from pascalrow import bignat, oracle, rowgen, verify_bench
-from pascalrow.bignat import BigNat, pow10
-from pascalrow.row import Method, Row
+from pascalrow.bignat import RADIX, BigNat, pow10
+from pascalrow.row import Method
 from pascalrow.verify_bench import (
     BENCH_CSV_HEADER,
     CHECK_NAMES,
@@ -31,6 +31,20 @@ def _emitted(report):
         emit_report(report, fmt, buffer)
         texts[fmt] = buffer.getvalue()
     return texts
+
+
+def _bump_multiplicative(monkeypatch, k):
+    # The multiplicative oracle's matrices, each as yielded with C(n, k) off
+    # by one; the oracle steps each row from its own true matrix.
+    make = oracle.iter_multiplicative_matrices
+
+    def bumped(start):
+        for matrix in make(start):
+            matrix = matrix.copy()
+            matrix[k, 0] += 1
+            yield matrix
+
+    monkeypatch.setattr(oracle, "iter_multiplicative_matrices", bumped)
 
 
 def _threshold_probe(first, last, selected, residue_samples, seed):
@@ -79,20 +93,29 @@ class TestVerifyRange:
 
         counted(BigNat, "from_blocks")
         counted(BigNat, "from_block_prefixes")
+        counted(BigNat, "from_block_matrix")
         counted(oracle, "row_multiplicative")
+        counted(oracle, "iter_multiplicative_matrices")
+        counted(oracle, "_multiplicative")
+        counted(oracle, "_next_multiplicative_matrix")
         counted(oracle, "binomial")
         counted(rowgen, "central_coefficient")
         verify_range(0, 40, residue_samples=5, seed=0)
-        # Per row: one prefix pass yields the truncated sums of all its
-        # sampled block counts, and one more (through from_blocks) builds the
-        # weighted sum; the row sum is carried from the power's limb matrix.
-        # One oracle row, and one central coefficient from its prime factors
-        # (for theta). The digit_length check reads the oracle's central
-        # coefficient off its row, so oracle.binomial is never called.
+        # Per row: one lay-down of the oracle's matrix at the block width
+        # yields the truncated sums of all its sampled block counts, and one
+        # more at width 1 builds the weighted sum; the row sum is carried
+        # from the power's limb matrix. The oracle's row 0 comes from the
+        # within-row recurrence and each later row is one step from the row
+        # before, so oracle.row_multiplicative is never called; neither is
+        # from_blocks nor the per-cut prefix pass. One central coefficient
+        # per row from its prime factors (for theta). The digit_length check
+        # reads the oracle's central coefficient off its matrix, so
+        # oracle.binomial is never called.
         assert calls == {
-            "from_blocks": 41,
-            "from_block_prefixes": 41 + 41,
-            "row_multiplicative": 41,
+            "from_block_matrix": 41 + 41,
+            "iter_multiplicative_matrices": 1,
+            "_multiplicative": 1,
+            "_next_multiplicative_matrix": 40,
             "central_coefficient": 41,
         }
 
@@ -101,13 +124,7 @@ class TestVerifyRange:
         # sweep over 5..6, an oracle with C(n, 1) off by one must fail the
         # same sweep run again in the same process.
         assert verify_range(5, 6).passed
-        make = oracle.row_multiplicative
-
-        def bumped(n):
-            first, second, *rest = make(n).coefficients
-            return Row(n, (first, second + BigNat(1), *rest), Method.MULTIPLICATIVE)
-
-        monkeypatch.setattr(oracle, "row_multiplicative", bumped)
+        _bump_multiplicative(monkeypatch, 1)
         report = verify_range(5, 6)
         failing = {"row_equality", "residue_identity", "leading_block", "weighted_sum_11"}
         for result in report.results:
@@ -225,14 +242,7 @@ class TestVerifyRange:
                 lambda n: true_power(n) + pow10(2 * rowgen.theta(n).block_width),
             )
         else:
-            make = oracle.row_multiplicative
-
-            def bumped(n):
-                coefficients = list(make(n).coefficients)
-                coefficients[2] = coefficients[2] + BigNat(1)
-                return Row(n, tuple(coefficients), Method.MULTIPLICATIVE)
-
-            monkeypatch.setattr(oracle, "row_multiplicative", bumped)
+            _bump_multiplicative(monkeypatch, 2)
         result = verify_range(6, 6, checks=["row_sum", "weighted_sum_11"]).results[0]
         assert result.checks == {
             name: name != failing for name in ("row_sum", "weighted_sum_11")
@@ -448,6 +458,7 @@ class TestVerifyRangeParallel:
             ((0, 1), {"residue_samples": 0}),
             ((0, 1), {"checks": []}),
             ((0, 1), {"checks": ["row_equality", "bogus"]}),
+            ((0, RADIX), {}),
         ],
     )
     def test_bad_arguments_rejected_before_any_worker(self, monkeypatch, args, kwargs):
@@ -599,6 +610,19 @@ class TestEmitReport:
         target = tmp_path / "missing" / "report.csv"
         with pytest.raises(OSError, match="report.csv"):
             emit_report([], "csv", target)
+
+
+@pytest.mark.parametrize("run", [verify_range, verify_range_parallel, bench_methods])
+def test_range_past_the_scalar_steps_refused_before_any_row(monkeypatch, run):
+    # The last row is out of reach; the rows before it are not checked or
+    # timed first.
+    def no_rows(*args):
+        raise AssertionError("a row was checked")
+
+    monkeypatch.setattr(verify_bench, "_check_rows", no_rows)
+    monkeypatch.setattr(rowgen, "generate_row", no_rows)
+    with pytest.raises(ValueError, match="row index 10000000 too large"):
+        run(RADIX - 3, RADIX)
 
 
 def test_mul_counts_stable_across_bench_runs():
