@@ -5,25 +5,26 @@ first, with no leading zero limbs (zero is the empty tuple). Keeping the
 radix a power of ten makes splitting at a power of ten a digit slice
 instead of a division loop, which is the hot operation downstream.
 ``to_blocks`` cuts a number into fixed-width digit blocks and
-``from_blocks`` is its inverse: it lays the blocks at their digit offsets
-and adds them, carries included, so callers work in digits and blocks and
-never in limbs. At width 0 every block sits at offset 0, which is the
-plain sum: addition is ``from_blocks`` of the two terms at width 0.
-``from_block_prefixes`` lays the blocks down once and yields
-that sum at each of several cuts; ``from_blocks`` is its single-cut case.
-``block_matrix`` is the cut itself: ``high_digits``'s limb shift applied
-to every block at once in numpy, one limb column of all blocks per step,
-with no digit or text in between, giving one row of limbs per block.
-``to_blocks`` is ``from_limb_rows`` of that matrix, the matrix
-counterpart of ``from_limbs``: one range check over a whole limb matrix,
-then one number per row. ``to_limb_rows`` is its inverse, and
-``from_column_sums`` adds up a limb matrix's rows from its column sums,
-so a row of blocks can be compared and summed without a number per block.
+``from_blocks`` is its inverse, so callers work in digits and blocks and
+never in limbs. ``block_matrix`` is the cut itself: ``high_digits``'s
+limb shift applied to every block at once in numpy, one limb column of
+all blocks per step, with no digit or text in between, giving one row of
+limbs per block. ``to_blocks`` is ``from_limb_rows`` of that matrix, the
+matrix counterpart of ``from_limbs``: one range check over a whole limb
+matrix, then one number per row. ``to_limb_rows`` is its inverse.
+
+There is one lay-down, ``from_block_matrix``: it lays the rows of a limb
+matrix at their digit offsets and adds them, carries included, so a row
+of blocks is summed without a number per block; ``from_blocks`` is that
+of the blocks' limb rows. At width 0 every row sits at offset 0, and the
+lay-down is the plain sum of the rows, taken from the matrix's column
+sums. ``first_unequal_digit`` finds the lowest digit at which two numbers
+differ, so one comparison tells at which digit offsets their low digits
+stop agreeing.
 
 Column sums become limbs in one place: a single exact carry pass over
-Python-int columns. It finishes ``from_blocks`` (and so addition),
-``from_column_sums``, the schoolbook product and the top-level
-normalisation of the Karatsuba product.
+Python-int columns. It finishes the lay-down, addition, the schoolbook
+product and the top-level normalisation of the Karatsuba product.
 The scalar steps ``mul_small`` and ``divmod_small`` keep their own loops:
 they are the independent steps of the multiplicative oracle.
 Values, limbs, scalars, digit offsets, block widths and counts, and
@@ -86,7 +87,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -238,20 +239,6 @@ class BigNat:
         )
         return matrix
 
-    @classmethod
-    def from_column_sums(cls, columns: Iterable[int]) -> "BigNat":
-        """sum(columns[j] * RADIX**j) for non-negative integer column sums.
-
-        The sum of the numbers whose limbs are a matrix's rows is this of
-        the matrix's column sums: the one exact carry pass, whatever the
-        columns' size.
-        """
-        columns = list(map(operator.index, columns))
-        for column in columns:
-            if column < 0:
-                raise ValueError(f"column sum {column} is negative")
-        return cls._raw(_carried(columns))
-
     def to_blocks(self, width: int, count: int) -> list["BigNat"]:
         """Cut self into `count` blocks of `width` digits, rightmost first.
 
@@ -304,42 +291,23 @@ class BigNat:
     def from_blocks(cls, blocks: Iterable["BigNat"], width: int) -> "BigNat":
         """sum(block * 10**(i * width)), blocks rightmost first.
 
-        The inverse of cutting a number into `width`-digit blocks. Exact for
-        blocks of any size: a block wider than `width` carries into the
-        blocks above it. Width 0 gives the plain sum of the blocks.
+        The inverse of cutting a number into `width`-digit blocks:
+        from_block_matrix of the blocks' limb rows, so exact for blocks of
+        any size, and width 0 gives their plain sum.
         """
-        blocks = tuple(blocks)
-        return next(cls.from_block_prefixes(blocks, width, (len(blocks),)))
-
-    @classmethod
-    def from_block_prefixes(
-        cls, blocks: Sequence["BigNat"], width: int, cuts: Iterable[int]
-    ) -> Iterator["BigNat"]:
-        """Yield from_blocks(blocks[:cut], width) for each cut, in one pass.
-
-        `cuts` must be non-decreasing and at most len(blocks); the width and
-        the cuts are checked here, before the first sum is asked for. Each
-        block is scaled once; at each cut only the limbs from the first one
-        touched since the previous cut are carried, so the carry work is
-        linear in the blocks, not in the sum of the cuts.
-        """
-        width, cuts = _int_at_least(width, 0, "block width"), tuple(cuts)
-        for done, cut in zip((0, *cuts), cuts):
-            if not done <= cut <= len(blocks):
-                raise ValueError(
-                    f"cut {cut} out of order or beyond {len(blocks)} blocks"
-                )
-        return _block_sums(blocks, width, cuts)
+        return cls.from_block_matrix(cls.to_limb_rows(tuple(blocks)), width)
 
     @classmethod
     def from_block_matrix(cls, matrix, width: int) -> "BigNat":
         """sum(row i * 10**(i * width)) over a matrix of little-endian limb rows.
 
-        from_blocks for blocks given as the rows of a limb matrix (as
-        block_matrix gives them, or to_limb_rows): every limb is scaled and
-        laid at its digit offset by one numpy scatter, and the columns are
-        carried once, with no number built per row. Exact for rows of any
-        size, as from_blocks is; every limb must lie in [0, RADIX).
+        The one lay-down, for rows as block_matrix or to_limb_rows gives
+        them: every limb is scaled and laid at its digit offset by one numpy
+        scatter, and the columns are carried once, with no number built per
+        row. At width 0 every row sits at offset 0, so the columns are the
+        matrix's column sums, taken as such. Exact for rows of any size: a
+        row wider than `width` carries into the rows above it. Every limb
+        must lie in [0, RADIX).
         """
         width = _int_at_least(width, 0, "block width")
         matrix = np.asarray(matrix)
@@ -347,6 +315,9 @@ class BigNat:
             return _ZERO
         if matrix.min() < 0 or matrix.max() >= RADIX:
             raise ValueError(f"limb rows must lie in [0, {RADIX})")
+        if width == 0:
+            # A column sum of R rows is below R * RADIX, far inside int64.
+            return cls._raw(_carried(matrix.sum(axis=0, dtype=np.int64).tolist()))
         rows, limbs = matrix.shape
         whole, part = np.divmod(np.arange(rows, dtype=np.int64) * width, RADIX_DIGITS)
         positions = whole[:, None] + np.arange(limbs)
@@ -435,6 +406,27 @@ class BigNat:
                 return -1 if x < y else 1
         return 0
 
+    def first_unequal_digit(self, other: "BigNat") -> int | None:
+        """The lowest decimal digit at which self and other differ, or None.
+
+        Digit 0 is the units digit, and None means the numbers are equal.
+        self % 10**k == other % 10**k holds exactly for k up to this index:
+        it is the number of low digits the two share. The first unequal limb
+        is found by one pass over both limb tuples, then the digits of that
+        limb are compared from the bottom.
+        """
+        a, b = self._limbs, other._limbs
+        a += (0,) * (len(b) - len(a))
+        b += (0,) * (len(a) - len(b))
+        limb = next(itertools.compress(itertools.count(), map(operator.ne, a, b)), None)
+        if limb is None:
+            return None
+        x, y = a[limb], b[limb]
+        digit = 0
+        while x % 10 == y % 10:
+            x, y, digit = x // 10, y // 10, digit + 1
+        return RADIX_DIGITS * limb + digit
+
     def __str__(self) -> str:
         return self.to_decimal()
 
@@ -467,9 +459,12 @@ class BigNat:
     def __add__(self, other: "BigNat") -> "BigNat":
         if not isinstance(other, BigNat):
             return NotImplemented
-        # from_blocks((self, other), 0), taken from the builder itself: a sum
-        # of two numbers is not one of the block sums a row's checks build.
-        return next(_block_sums((self, other), 0, (2,)))
+        a, b = self._limbs, other._limbs
+        if len(a) < len(b):
+            a, b = b, a
+        # Limb by limb, the longer number's top limbs as they are, then the
+        # one carry pass.
+        return BigNat._raw(_carried([*map(operator.add, a, b), *a[len(b) :]]))
 
     def __mul__(self, other: "BigNat") -> "BigNat":
         if not isinstance(other, BigNat):
@@ -600,27 +595,6 @@ def _product(a: BigNat, b: BigNat, subquadratic: bool) -> BigNat:
         return _ZERO
     kernel = _mul_subquadratic_limbs if subquadratic else _mul_quadratic_limbs
     return BigNat._raw(kernel(a._limbs, b._limbs))
-
-
-def _block_sums(
-    blocks: Sequence[BigNat], width: int, cuts: Iterable[int]
-) -> Iterator[BigNat]:
-    # The one column builder, behind from_block_prefixes (and so
-    # from_blocks), which checks the width and cuts, and +.
-    columns = []
-    done = 0
-    for cut in cuts:
-        start = done * width // RADIX_DIGITS
-        for i in range(done, cut):
-            whole, part = divmod(i * width, RADIX_DIGITS)
-            scale = 10**part
-            limbs = blocks[i]._limbs
-            if len(columns) < whole + len(limbs):
-                columns += [0] * (whole + len(limbs) - len(columns))
-            for j, limb in enumerate(limbs, whole):
-                columns[j] += limb * scale
-        done = cut
-        yield BigNat._raw(_carried(columns, start))
 
 
 def _trimmed(limbs) -> tuple:

@@ -9,14 +9,27 @@ prime factorisation of C(n, n // 2) and never via floating logarithms,
 raises the base to the n-th power, slices blocks,
 and exposes the no-carry bound and the truncated-sum residue identity as
 executable checks.
+
+The truncated sums come from one lay-down, BigNat.from_block_matrix of
+the oracle's coefficients at the block width. Lemma 1's proof is what
+makes one lay-down serve every block count: each coefficient is at most
+10**w - 1, so the sum of the first r blocks is at most
+sum((10**w - 1) * 10**(i * w) for i < r) = 10**(r * w) - 1. It never
+reaches the next block, so it is the low r * w digits of the whole row
+laid down, which for a right row is the power itself. One digit
+comparison of the lay-down with the power (BigNat.first_unequal_digit)
+therefore settles the identity for every r (see unsettled_residues).
+Width 0 of the lay-down is the plain sum of the rows, the row read at
+x = 1.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -204,41 +217,57 @@ class Residue:
         return str(self.truncated_sum), str(self.remainder)
 
 
-def residues(power: BigNat, matrix: np.ndarray, rs: Sequence[int]) -> Iterator[Residue]:
-    """Both sides of the residue identity for each block count in `rs`.
+def unsettled_residues(
+    power: BigNat, matrix: np.ndarray, rs: Sequence[int]
+) -> list[Residue]:
+    """The residues of row n that a check must look at, for the block counts rs.
 
     `power` is row n's power and `matrix` the multiplicative oracle's row n
     as a limb matrix, one coefficient per matrix row (as
-    oracle.iter_multiplicative_matrices yields it), both built by the
-    caller for as long as it checks that row. `rs` must be ascending, and
-    is checked here, before the first residue is asked for. The row is
-    laid down once at the block width: while every coefficient is below
-    10**width (checked on the matrix) no block carries, so the truncated
-    sum of r blocks is the low r * width digits of that one number. A row
-    with a wider coefficient takes the sums at each cut from one prefix
-    pass over its numbers instead, so the bound and the details report
-    what the blocks really sum to.
+    oracle.iter_multiplicative_matrices yields it). Every r in `rs` must
+    lie in 1..n + 1; `rs` is checked before anything is built.
+
+    While every coefficient is below 10**width (checked on the matrix), the
+    row laid down once at the block width settles every r with one digit
+    comparison. By Lemma 1's proof each block is at most 10**width - 1, so
+    the sum of the first r blocks is at most 10**(r * width) - 1: no block
+    carries, the bound holds, and that truncated sum is the low r * width
+    digits of the one lay-down. So the identity holds for r exactly when
+    r * width is at most the number of low digits the lay-down and the
+    power share (BigNat.first_unequal_digit), and only the r past that get
+    a Residue, both sides read off the two numbers. A row with a wider
+    coefficient gets a Residue for every r, its truncated sum laid down
+    exactly from the matrix's first r rows, so the bound and the details
+    report what the blocks really sum to.
     """
     n = len(matrix) - 1
     width = theta(n).block_width
     for r in rs:
-        if not 1 <= r <= n + 1:
-            raise ValueError(f"block count r={r} outside 1..{n + 1} for row {n}")
-    if _below_pow10(matrix, width):
-        laid = BigNat.from_block_matrix(matrix, width)
-        sums = (laid.low_digits(r * width) for r in rs)
-    else:
-        sums = BigNat.from_block_prefixes(BigNat.from_limb_rows(matrix), width, rs)
-    return (
-        Residue(
-            n=n,
-            r=r,
-            width=width,
-            remainder=power.low_digits(r * width),
-            truncated_sum=truncated_sum,
-        )
-        for r, truncated_sum in zip(rs, sums)
+        _check_block_count(n, r)
+    if not _below_pow10(matrix, width):
+        return [_residue(n, r, width, power, matrix) for r in rs]
+    laid = BigNat.from_block_matrix(matrix, width)
+    shared = power.first_unequal_digit(laid)
+    if shared is None:
+        return []
+    return [
+        Residue(n, r, width, power.low_digits(r * width), laid.low_digits(r * width))
+        for r in rs
+        if r * width > shared
+    ]
+
+
+def _residue(n: int, r: int, width: int, power: BigNat, matrix: np.ndarray) -> Residue:
+    # The r lowest blocks of the power beside the matrix's first r rows laid
+    # down at the width: exact, carries included.
+    return Residue(
+        n, r, width, power.low_digits(r * width), BigNat.from_block_matrix(matrix[:r], width)
     )
+
+
+def _check_block_count(n: int, r: int) -> None:
+    if not 1 <= r <= n + 1:
+        raise ValueError(f"block count r={r} outside 1..{n + 1} for row {n}")
 
 
 def _below_pow10(matrix: np.ndarray, digits: int) -> bool:
@@ -250,9 +279,16 @@ def _below_pow10(matrix: np.ndarray, digits: int) -> bool:
 
 
 def residue(n: int, r: int) -> Residue:
-    """Both sides of the r-block residue identity for row n, each built once."""
-    row = oracle.row_multiplicative(n)
-    return next(residues(power_integer(n), BigNat.to_limb_rows(row.coefficients), (r,)))
+    """Both sides of the r-block residue identity for row n.
+
+    The oracle side runs the within-row recurrence only up to C(n, r-1)
+    and lays those r coefficients down once, exact at any width; the
+    power's side is its low r * width digits.
+    """
+    n, r = row_index(n), operator.index(r)
+    _check_block_count(n, r)
+    matrix = BigNat.to_limb_rows(tuple(oracle._multiplicative(n, r - 1)))
+    return _residue(n, r, theta(n).block_width, power_integer(n), matrix)
 
 
 def residue_partial_sum(n: int, r: int) -> BigNat:

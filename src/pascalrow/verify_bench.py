@@ -297,7 +297,9 @@ def _check_rows(
             found[name] += check(facts)
         if block_checks:
             rs = _sample_r_values(n, residue_samples, seed)
-            for residue in rowgen.residues(facts.power, facts.multiplicative_matrix, rs):
+            for residue in rowgen.unsettled_residues(
+                facts.power, facts.multiplicative_matrix, rs
+            ):
                 for name, check in block_checks:
                     found[name] += check(facts, residue)
         results.append(
@@ -320,11 +322,11 @@ def _runs(n_from: int, n_to: int, k: int) -> list[tuple[int, int]]:
     # each holding about a k-th of the rows' summed work, taken as
     # (n + 1) * (n + 200) for row n: a part per coefficient and a part per
     # digit of the power (about 0.3 * n**2 digits), which overtakes it near
-    # n = 200. Two runs of 0..300 then split at 228, and measured 0.17 and
-    # 0.15 s of CPU (best of 5, one process, Python 3.11, numpy 2.4, a
-    # shared 2-CPU x86 host); weights of (n + 1)**2 split at 239, 0.19 and
-    # 0.14 s. Each cut is
-    # moved, if it must be, so that every run keeps at least one row.
+    # n = 200. Two runs of 0..300 then split at 228, and measured 0.13 and
+    # 0.12 s of CPU (best of 5, one process, Python 3.11, numpy 2.4, a
+    # shared 2-CPU x86 host); weights of (n + 1)**2 split at 239, 0.14 and
+    # 0.11 s. Each cut is moved, if it must be, so that every run keeps at
+    # least one row.
     totals = list(
         accumulate((n + 1) * (n + 200) for n in range(n_from, n_to + 1))
     )
@@ -550,9 +552,8 @@ def _evaluation(value, width: int):
 
 
 def _power_row_sum(facts):
-    # The power row's column sums, carried: its coefficients' sum.
-    columns = facts.power_matrix.sum(axis=0, dtype=np.int64)
-    return BigNat.from_column_sums(columns.tolist())
+    # The power row laid down at width 0: its coefficients' sum.
+    return BigNat.from_block_matrix(facts.power_matrix, 0)
 
 
 def _oracle_row_at_ten(facts):

@@ -133,6 +133,43 @@ class TestFormatting:
         assert "digits" in text and len(text) < 80
 
 
+def lowest_unequal_digit(a: int, b: int):
+    # The digits of a and b compared from the units up, as decimal text.
+    if a == b:
+        return None
+    width = max(len(str(a)), len(str(b)))
+    low_a, low_b = str(a).zfill(width)[::-1], str(b).zfill(width)[::-1]
+    return next(k for k, (x, y) in enumerate(zip(low_a, low_b)) if x != y)
+
+
+class TestFirstUnequalDigit:
+    def test_equal_numbers(self):
+        assert BigNat(0).first_unequal_digit(BigNat(0)) is None
+        x = BigNat(11).pow(200)
+        assert x.first_unequal_digit(BigNat(11).pow(200)) is None
+
+    @pytest.mark.parametrize("j", range(0, 30))
+    def test_one_power_of_ten_apart(self, j):
+        # Digits 6/7, 13/14, 20/21 and 27/28 sit either side of a limb edge;
+        # an added 10**j may carry above digit j but never below it.
+        for value in (0, 10**40 - 1, 10**29 + 123, 999_999_999):
+            x, y = BigNat(value), BigNat(value + 10**j)
+            assert x.first_unequal_digit(y) == j
+            assert y.first_unequal_digit(x) == j
+
+    def test_against_int(self):
+        rng = random.Random(97)
+        for _ in range(300):
+            a = rng.randrange(10 ** rng.randint(0, 40))
+            b = a + rng.choice((0, 1, -1)) * rng.randrange(10 ** rng.randint(0, 45))
+            b = abs(b)
+            got = BigNat(a).first_unequal_digit(BigNat(b))
+            assert got == lowest_unequal_digit(a, b), (a, b)
+            if got is not None:
+                assert a % 10**got == b % 10**got
+                assert a % 10 ** (got + 1) != b % 10 ** (got + 1)
+
+
 class TestAddition:
     def test_identity(self):
         x = BigNat.from_decimal("123456789" * 5)
@@ -379,6 +416,10 @@ class TestLowHighDigits:
 
 
 class TestFromBlockPrefixes:
+    # The sum of a limb matrix's first c rows is the lay-down of the
+    # matrix[:c] slice: the residues of a row with a wider coefficient
+    # take each truncated sum so.
+
     def test_every_cut_against_from_blocks(self):
         # Blocks up to 2*width + 10 digits overlap and carry; the cuts
         # include 1 and len(blocks), and may repeat or be 0.
@@ -390,10 +431,11 @@ class TestFromBlockPrefixes:
                     for _ in range(rng.randint(1, 20))
                 ]
                 blocks = [BigNat(v) for v in values]
+                matrix = BigNat.to_limb_rows(blocks)
                 cuts = sorted(
                     [1, len(blocks)] + [rng.randint(0, len(blocks)) for _ in range(4)]
                 )
-                got = list(BigNat.from_block_prefixes(blocks, width, cuts))
+                got = [BigNat.from_block_matrix(matrix[:c], width) for c in cuts]
                 assert got == [BigNat.from_blocks(blocks[:c], width) for c in cuts]
                 assert [g.to_int() for g in got] == [
                     sum(v * 10 ** (i * width) for i, v in enumerate(values[:c]))
@@ -401,13 +443,8 @@ class TestFromBlockPrefixes:
                 ], (width, values, cuts)
 
     def test_no_cuts(self):
-        assert list(BigNat.from_block_prefixes([BigNat(1)], 3, [])) == []
-
-    @pytest.mark.parametrize("cuts", [[2, 1], [3], [-1]])
-    def test_bad_cuts_rejected(self, cuts):
-        blocks = [BigNat(1), BigNat(2)]
-        with pytest.raises(ValueError, match="cut"):
-            list(BigNat.from_block_prefixes(blocks, 3, cuts))
+        # A cut before the first block lays nothing down.
+        assert BigNat.from_block_matrix(BigNat.to_limb_rows([BigNat(1)])[:0], 3) == BigNat(0)
 
 
 class TestFromBlocks:
@@ -457,7 +494,7 @@ class TestFromBlocks:
             blocks = [BigNat(v) for v in values]
             assert BigNat.from_blocks(blocks, 0).to_int() == sum(values), values
             cuts = sorted(rng.randint(0, len(blocks)) for _ in range(4))
-            got = BigNat.from_block_prefixes(blocks, 0, cuts)
+            got = [BigNat.from_blocks(blocks[:c], 0) for c in cuts]
             assert [g.to_int() for g in got] == [sum(values[:c]) for c in cuts]
 
 
@@ -615,24 +652,28 @@ class TestToLimbRows:
 
 
 class TestFromColumnSums:
+    # At width 0 the lay-down is the sum of the rows, taken from the
+    # matrix's column sums.
+
     def test_sum_of_the_rows(self):
         rng = random.Random(43)
         numbers = [BigNat(rng.randrange(10**40)) for _ in range(300)]
-        columns = BigNat.to_limb_rows(numbers).sum(axis=0, dtype=np.int64)
-        assert BigNat.from_column_sums(columns.tolist()) == BigNat(
+        matrix = BigNat.to_limb_rows(numbers)
+        assert BigNat.from_block_matrix(matrix, 0) == BigNat(
             sum(x.to_int() for x in numbers)
         )
 
     def test_any_size_and_zero(self):
-        assert BigNat.from_column_sums([3 * bignat.RADIX**2 + 5, 0, 1]).to_int() == (
-            3 * bignat.RADIX**2 + 5 + bignat.RADIX**2
-        )
-        assert BigNat.from_column_sums([]) == BigNat(0)
-        assert BigNat.from_column_sums([0, 0]).limbs == ()
+        # 3000 rows of all-9 limbs: every column sum is far above a limb
+        # and the carry ripples through every column.
+        rows = np.full((3000, 4), bignat.RADIX - 1, np.uint32)
+        assert BigNat.from_block_matrix(rows, 0).to_int() == 3000 * (bignat.RADIX**4 - 1)
+        assert BigNat.from_block_matrix(np.zeros((0, 2), np.int64), 0) == BigNat(0)
+        assert BigNat.from_block_matrix(np.zeros((3, 2), np.int64), 0).limbs == ()
 
     def test_rejects_a_negative_column(self):
-        with pytest.raises(ValueError, match=r"^column sum -1 is negative$"):
-            BigNat.from_column_sums([5, -1])
+        with pytest.raises(ValueError, match=r"^limb rows must lie in \[0, 10000000\)$"):
+            BigNat.from_block_matrix(np.array([[5], [-1]]), 0)
 
 
 class TestFromBlockMatrix:
@@ -652,6 +693,9 @@ class TestFromBlockMatrix:
             numbers = self.numbers(rng, rows, digits)
             matrix = BigNat.to_limb_rows(numbers)
             expected = BigNat.from_blocks(numbers, width)
+            assert expected.to_int() == sum(
+                x.to_int() * 10 ** (i * width) for i, x in enumerate(numbers)
+            )
             assert BigNat.from_block_matrix(matrix, width) == expected
             assert BigNat.from_block_matrix(matrix.astype(np.int64), width) == expected
 
@@ -768,12 +812,12 @@ class TestScalarOps:
             pow10,
             lambda k: BigNat(123456789).to_blocks(k, 5),
             lambda k: BigNat(12).to_blocks(2, k),
-            lambda k: list(BigNat.from_block_prefixes([BigNat(1), BigNat(2)], k, [2])),
+            lambda k: BigNat.from_blocks([BigNat(1), BigNat(2)], k),
             lambda k: BigNat(3).pow(k),
         ],
         ids=[
             "low_digits", "high_digits", "split_pow10", "pow10", "to_blocks-width",
-            "to_blocks-count", "from_block_prefixes", "pow",
+            "to_blocks-count", "from_blocks", "pow",
         ],
     )  # fmt: skip
     def test_digit_offsets_and_exponents_take_integers_only(self, entry):

@@ -134,10 +134,9 @@ class TestVerifyCommand:
         assert lines[0] == "n,theta,row_equality,digit_length"
         assert lines[1:] == ["9,2,true,true", "10,2,true,true"]
 
-    def test_failure_exit_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            rowgen.Residue, "within_bound", property(lambda self: False)
-        )
+    def test_failure_exit_one(self, capsys, bump_multiplicative):
+        # C(3, 3) widened past its block breaks lemma 1 at r = 4.
+        bump_multiplicative(-1, wider=True)
         code, out, err = run(capsys, "verify", "--from", "3", "--to", "3")
         assert code == 1
         assert "FAIL" in err
@@ -180,10 +179,8 @@ class TestVerifyCommand:
         assert out == ""
         assert len(target.read_text().strip().split("\n")) == 3
 
-    def test_injected_failure_gives_the_serial_report(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            rowgen.Residue, "within_bound", property(lambda self: False)
-        )
+    def test_injected_failure_gives_the_serial_report(self, capsys, bump_multiplicative):
+        bump_multiplicative(-1, wider=True)
         code, out, err = run(capsys, "verify", "--from", "3", "--to", "40")
         assert code == 1
         assert out == serial_report(3, 40)

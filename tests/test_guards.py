@@ -21,7 +21,6 @@ TOO_LARGE = "row index 10000000 too large for scalar recurrence steps"
     [
         (lambda: BigNat(5).to_blocks(0, 1), "block width must be >= 1, got 0"),
         (lambda: BigNat(5).to_blocks(1, 0), "block count must be >= 1, got 0"),
-        (lambda: BigNat.from_block_prefixes([BigNat(1)], -1, [1]), "block width must be >= 0, got -1"),
         (lambda: BigNat.from_block_matrix([[1]], -1), "block width must be >= 0, got -1"),
         (lambda: BigNat(2).pow(-1), "exponent must be >= 0, got -1"),
         (lambda: pow10(np.int64(-3)), "exponent must be >= 0, got -3"),
@@ -54,8 +53,7 @@ TOO_LARGE = "row index 10000000 too large for scalar recurrence steps"
         (lambda: bench_methods(RADIX - 1, RADIX), TOO_LARGE),
     ],
     ids=[
-        "to_blocks-width", "to_blocks-count", "from_block_prefixes-width",
-        "from_block_matrix-width", "pow",
+        "to_blocks-width", "to_blocks-count", "from_block_matrix-width", "pow",
         "pow10", "low_digits", "high_digits", "iter_recurrence_rows-start",
         "iter_recurrence_rows-step", "iter_multiplicative_matrices-negative",
         "iter_multiplicative_matrices-too-large", "row_multiplicative-negative",

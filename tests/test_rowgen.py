@@ -3,6 +3,7 @@
 import json
 import random
 import tracemalloc
+from collections import Counter
 from math import comb, prod
 
 import numpy as np
@@ -275,16 +276,15 @@ class TestResiduePartialSum:
             rowgen.residue_partial_sum(5, 7)
 
     def test_mismatch_raises_with_detail(self, monkeypatch):
-        # Corrupt the oracle row so the truncated sum disagrees with the
-        # power's digits.
-        broken = oracle.row_multiplicative(9)
-        coefficients = list(broken.coefficients)
-        coefficients[1] = BigNat(8)
-        monkeypatch.setattr(
-            oracle,
-            "row_multiplicative",
-            lambda n: type(broken)(n=9, coefficients=tuple(coefficients), method=broken.method),
-        )
+        # Corrupt the oracle's C(9, 1) so the truncated sum disagrees with
+        # the power's digits.
+        recurrence = oracle._multiplicative
+
+        def broken(n, k):
+            for j, value in enumerate(recurrence(n, k)):
+                yield BigNat(8) if j == 1 else value
+
+        monkeypatch.setattr(oracle, "_multiplicative", broken)
         with pytest.raises(rowgen.ResidueMismatchError) as excinfo:
             rowgen.residue_partial_sum(9, 2)
         err = excinfo.value
@@ -296,16 +296,18 @@ class TestResiduePartialSum:
 class TestResiduesFromTheMatrix:
     @pytest.mark.parametrize("n", [0, 1, 9, 16, 51, 120])
     def test_sums_are_the_prefix_sums_of_the_row(self, n):
-        # One lay-down of the row, cut at every block count, against the
-        # per-cut sums of its numbers.
+        # The one lay-down of a fitting row, cut at every block count, is
+        # the per-cut sum of its first r coefficients, and it equals the
+        # power, so no block count is left unsettled.
         matrix = next(oracle.iter_multiplicative_matrices(n))
-        rs = list(range(1, n + 2))
-        got = rowgen.residues(rowgen.power_integer(n), matrix, rs)
-        assert [residue.truncated_sum for residue in got] == list(
-            BigNat.from_block_prefixes(
-                BigNat.from_limb_rows(matrix), rowgen.theta(n).block_width, rs
-            )
-        )
+        width = rowgen.theta(n).block_width
+        power = rowgen.power_integer(n)
+        laid = BigNat.from_block_matrix(matrix, width)
+        assert [laid.low_digits(r * width) for r in range(1, n + 2)] == [
+            rowgen.residue(n, r).truncated_sum for r in range(1, n + 2)
+        ]
+        assert laid == power
+        assert rowgen.unsettled_residues(power, matrix, range(1, n + 2)) == []
 
     def test_wider_coefficient_takes_the_per_cut_sums(self):
         # C(9, 4) planted as 1126, one digit wider than the width 3: its
@@ -314,10 +316,10 @@ class TestResiduesFromTheMatrix:
         matrix = next(oracle.iter_multiplicative_matrices(9)).copy()
         matrix[4, 0] += 1000
         rs = list(range(1, 11))
-        got = list(rowgen.residues(rowgen.power_integer(9), matrix, rs))
-        assert [residue.truncated_sum for residue in got] == list(
-            BigNat.from_block_prefixes(BigNat.from_limb_rows(matrix), 3, rs)
-        )
+        got = rowgen.unsettled_residues(rowgen.power_integer(9), matrix, rs)
+        assert [residue.truncated_sum for residue in got] == [
+            BigNat.from_blocks(BigNat.from_limb_rows(matrix)[:r], 3) for r in rs
+        ]
         assert [residue.r for residue in got if not residue.within_bound] == [5]
         assert [residue.r for residue in got if residue.mismatch] == [5, 6, 7, 8, 9, 10]
         assert got[4].mismatch == ("1126084036009001", "126084036009001")
@@ -337,6 +339,27 @@ class TestLeadingBlock:
     def test_matches_binomial_for_row_33(self):
         for r in range(1, 35):
             assert rowgen.leading_block_of_residue(33, r) == oracle.binomial(33, r - 1)
+
+
+def test_residue_steps_the_recurrence_only_up_to_its_top_block(monkeypatch):
+    # residue(n, r) needs C(n, 0) .. C(n, r-1): r - 1 scalar steps of the
+    # within-row recurrence, each one mul_small and one divmod_small, and
+    # none for the rest of the row. Theta and the power are cached first.
+    rowgen.power_integer(300)
+    steps = Counter()
+    for name in ("mul_small", "divmod_small"):
+        original = getattr(BigNat, name)
+
+        def counted(self, scalar, name=name, original=original):
+            steps[name] += 1
+            return original(self, scalar)
+
+        monkeypatch.setattr(BigNat, name, counted)
+    for r, expected in ((1, 0), (5, 4), (301, 300)):
+        steps.clear()
+        residue = rowgen.residue(300, r)
+        assert (steps["mul_small"], steps["divmod_small"]) == (expected, expected)
+        assert residue.mismatch is None
 
 
 class TestLemma1Bound:
@@ -392,21 +415,20 @@ def test_clear_caches_leaves_results_unchanged():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: BigNat.from_block_prefixes([BigNat(1)], -1, [1]),
-        lambda: BigNat.from_block_prefixes([BigNat(1)], 1, [3]),
-        lambda: BigNat.from_block_prefixes([BigNat(1)] * 3, 1, [2, 1]),
-        lambda: rowgen.residues(BigNat(1331), next(oracle.iter_multiplicative_matrices(3)), [9]),
+        lambda: rowgen.unsettled_residues(
+            BigNat(1331), next(oracle.iter_multiplicative_matrices(3)), [9]
+        ),
         lambda: oracle.iter_recurrence_rows(-1),
         lambda: oracle.iter_recurrence_rows(0, 0),
         lambda: oracle.iter_multiplicative_matrices(-1),
     ],
     ids=[
-        "negative-width", "cut-beyond-blocks", "cuts-out-of-order", "r-beyond-row",
-        "negative-start", "zero-step", "negative-multiplicative-start",
+        "r-beyond-row", "negative-start", "zero-step", "negative-multiplicative-start",
     ],
 )  # fmt: skip
 def test_lazy_sums_check_their_arguments_at_the_call(call):
-    # Each returns a generator; a bad argument must raise before any next().
+    # A bad argument raises at the call: before any next() of an iterator,
+    # before any residue is built.
     with pytest.raises(ValueError):
         call()
 

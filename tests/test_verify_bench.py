@@ -33,20 +33,6 @@ def _emitted(report):
     return texts
 
 
-def _bump_multiplicative(monkeypatch, k):
-    # The multiplicative oracle's matrices, each as yielded with C(n, k) off
-    # by one; the oracle steps each row from its own true matrix.
-    make = oracle.iter_multiplicative_matrices
-
-    def bumped(start):
-        for matrix in make(start):
-            matrix = matrix.copy()
-            matrix[k, 0] += 1
-            yield matrix
-
-    monkeypatch.setattr(oracle, "iter_multiplicative_matrices", bumped)
-
-
 def _threshold_probe(first, last, selected, residue_samples, seed):
     # Stands in for _check_rows in a worker: reports, as each row's theta,
     # the multiplication threshold the worker process sees.
@@ -92,7 +78,6 @@ class TestVerifyRange:
             monkeypatch.setattr(owner, name, wrapper)
 
         counted(BigNat, "from_blocks")
-        counted(BigNat, "from_block_prefixes")
         counted(BigNat, "from_block_matrix")
         counted(oracle, "row_multiplicative")
         counted(oracle, "iter_multiplicative_matrices")
@@ -101,30 +86,30 @@ class TestVerifyRange:
         counted(oracle, "binomial")
         counted(rowgen, "central_coefficient")
         verify_range(0, 40, residue_samples=5, seed=0)
-        # Per row: one lay-down of the oracle's matrix at the block width
-        # yields the truncated sums of all its sampled block counts, and one
-        # more at width 1 builds the weighted sum; the row sum is carried
-        # from the power's limb matrix. The oracle's row 0 comes from the
-        # within-row recurrence and each later row is one step from the row
-        # before, so oracle.row_multiplicative is never called; neither is
-        # from_blocks nor the per-cut prefix pass. One central coefficient
-        # per row from its prime factors (for theta). The digit_length check
-        # reads the oracle's central coefficient off its matrix, so
+        # Per row: one lay-down of the oracle's matrix at the block width,
+        # compared once with the power, settles all its sampled block counts;
+        # one more at width 1 builds the weighted sum, and the power's limb
+        # matrix laid down at width 0 is the row sum. The oracle's row 0
+        # comes from the within-row recurrence and each later row is one
+        # step from the row before, so oracle.row_multiplicative is never
+        # called; neither is from_blocks. One central coefficient per row
+        # from its prime factors (for theta). The digit_length check reads
+        # the oracle's central coefficient off its matrix, so
         # oracle.binomial is never called.
         assert calls == {
-            "from_block_matrix": 41 + 41,
+            "from_block_matrix": 41 + 41 + 41,
             "iter_multiplicative_matrices": 1,
             "_multiplicative": 1,
             "_next_multiplicative_matrix": 40,
             "central_coefficient": 41,
         }
 
-    def test_warm_sweep_reads_the_oracle_it_is_given(self, monkeypatch):
+    def test_warm_sweep_reads_the_oracle_it_is_given(self, bump_multiplicative):
         # A sweep keeps no oracle row past the row it checks: after a passing
         # sweep over 5..6, an oracle with C(n, 1) off by one must fail the
         # same sweep run again in the same process.
         assert verify_range(5, 6).passed
-        _bump_multiplicative(monkeypatch, 1)
+        bump_multiplicative(1)
         report = verify_range(5, 6)
         failing = {"row_equality", "residue_identity", "leading_block", "weighted_sum_11"}
         for result in report.results:
@@ -197,30 +182,43 @@ class TestVerifyRange:
         emit_report(verify_range(0, 25, residue_samples=4, seed=11), "jsonl", second)
         assert first.getvalue() == second.getvalue()
 
-    def test_failure_recorded_as_data(self, monkeypatch):
-        monkeypatch.setattr(
-            rowgen.Residue, "within_bound", property(lambda self: False)
-        )
+    def test_failure_recorded_as_data(self, bump_multiplicative):
+        # C(n, n) raised by 10**width no longer fits its block, so the sum
+        # of all n + 1 blocks has one digit too many: lemma 1 fails at
+        # r = n + 1, which every row samples (rows 5 and 6 have width 2).
+        # The oracle row then differs from the power's; the power's own
+        # symmetry still holds.
+        bump_multiplicative(-1, wider=True)
         report = verify_range(5, 6, residue_samples=1)
         assert not report.passed
         for result in report.results:
             assert result.checks["lemma1_bound"] is False
-            assert any(f.check == "lemma1_bound" for f in result.failures)
-            assert result.checks["row_equality"] is True
+            assert [
+                (f.r, f.expected, f.actual)
+                for f in result.failures
+                if f.check == "lemma1_bound"
+            ] == [(result.n + 1, f"at most {2 * result.n + 2} digits", f"{2 * result.n + 3} digits")]
+            assert result.checks["row_equality"] is False
+            assert result.checks["symmetry"] is True
 
     def test_failure_detail_is_reproducible(self, monkeypatch):
-        # Return the wrong neighbouring coefficient so only r >= 2 misses.
+        # C(7, 1) off by one in the power (a +1 in its block 1), so only
+        # r >= 2 misses; seed 3 samples r = 1, 2 and 8. Each failure's
+        # detail is what rowgen.residue gives for its (n, r) on its own.
+        true_power = rowgen.power_integer
         monkeypatch.setattr(
-            rowgen.Residue,
-            "leading_block",
-            property(lambda self: oracle.binomial(self.n, max(0, self.r - 2))),
+            rowgen,
+            "power_integer",
+            lambda n: true_power(n) + pow10(rowgen.theta(n).block_width),
         )
         report = verify_range(7, 7, residue_samples=1, seed=3)
         result = report.results[0]
         assert result.checks["leading_block"] is False
-        failure = next(f for f in result.failures if f.check == "leading_block")
-        assert failure.n == 7 and failure.r is not None
-        assert failure.expected != failure.actual
+        failures = [f for f in result.failures if f.check == "leading_block"]
+        assert [(f.n, f.r) for f in failures] == [(7, 2), (7, 8)]
+        for failure in failures:
+            assert failure.expected != failure.actual
+            assert (failure.expected, failure.actual) == rowgen.residue(7, failure.r).mismatch
 
     @pytest.mark.parametrize(
         "failing,expected,actual",
@@ -230,7 +228,9 @@ class TestVerifyRange:
         ],
         ids=["row_sum", "weighted_sum_11"],
     )
-    def test_row_read_at_one_and_ten(self, monkeypatch, failing, expected, actual):
+    def test_row_read_at_one_and_ten(
+        self, monkeypatch, bump_multiplicative, failing, expected, actual
+    ):
         # C(6, 2) off by one in the power row (a +1 in block 2 of its power,
         # width 2) moves its sum off 2**6; in the oracle row it moves the
         # row read at x = 10 off 11**6.
@@ -242,7 +242,7 @@ class TestVerifyRange:
                 lambda n: true_power(n) + pow10(2 * rowgen.theta(n).block_width),
             )
         else:
-            _bump_multiplicative(monkeypatch, 2)
+            bump_multiplicative(2)
         result = verify_range(6, 6, checks=["row_sum", "weighted_sum_11"]).results[0]
         assert result.checks == {
             name: name != failing for name in ("row_sum", "weighted_sum_11")
@@ -267,6 +267,31 @@ class TestVerifyRange:
             ("row_equality", 2, "recurrence:15", "16"),
             ("symmetry", 2, "15", "16"),
         ]
+
+    @pytest.mark.parametrize("n", [9, 30])
+    def test_power_off_at_every_digit(self, monkeypatch, n):
+        # +10**j in the power, for every j below the top sampled cut
+        # (n + 1) * width: its low j digits still agree with the oracle's
+        # lay-down and digit j does not, so the identity and the leading
+        # block fail for exactly the r with r * width > j. Row 9 (width 3)
+        # and row 30 (width 9) put j on both sides of limb edges (digits
+        # 6/7, 13/14) and of block edges.
+        true_power = rowgen.power_integer
+        width = rowgen.theta(n).block_width
+        checks = ["residue_identity", "leading_block"]
+        for j in range((n + 1) * width):
+            monkeypatch.setattr(
+                rowgen, "power_integer", lambda m, j=j: true_power(m) + pow10(j)
+            )
+            result = verify_range(n, n, checks, residue_samples=10**9).results[0]
+            details = [
+                (r, *rowgen.residue(n, r).mismatch)
+                for r in range(1, n + 2)
+                if r * width > j
+            ]
+            assert [(f.check, f.r, f.expected, f.actual) for f in result.failures] == [
+                (check, *detail) for check in checks for detail in details
+            ], j
 
     def test_block_width_one_digit_too_wide_fails_digit_length(self, monkeypatch):
         # A width above the central coefficient's digit count still keeps
@@ -308,6 +333,58 @@ class TestVerifyRange:
         full = _emitted(verify_range(0, 30, residue_samples=2000, seed=0))
         huge = _emitted(verify_range(0, 30, residue_samples=10**9, seed=0))
         assert huge == full
+
+
+class TestFailingReportsPinned:
+    # Seeded sweeps with one planted fault each and every block count
+    # sampled, pinned byte for byte: the failure details, not only the
+    # pass/fail cells, must not drift.
+
+    @staticmethod
+    def digests(report):
+        texts = _emitted(report)
+        return {fmt: hashlib.md5(text.encode()).hexdigest() for fmt, text in texts.items()}
+
+    def test_oracle_coefficient_off_by_one(self, bump_multiplicative):
+        bump_multiplicative(1)
+        report = verify_range(5, 40, residue_samples=10**9, seed=0)
+        assert self.digests(report) == {
+            "jsonl": "8b18e12af41506d10e0d447f50d9a063",
+            "csv": "920d9befd4bfffabde8f9bed089a5bb5",
+        }
+
+    def test_power_block_two_plus_seven(self, monkeypatch):
+        true_power = rowgen.power_integer
+        monkeypatch.setattr(
+            rowgen,
+            "power_integer",
+            lambda n: true_power(n) + pow10(2 * rowgen.theta(n).block_width).mul_small(7),
+        )
+        report = verify_range(4, 30, residue_samples=10**9, seed=0)
+        assert self.digests(report) == {
+            "jsonl": "59bf29b0d868e1b5db54efa5f9a5d8ef",
+            "csv": "7bf2321600053fad3c9e96afc081995d",
+        }
+
+    def test_block_width_one_digit_too_narrow(self, monkeypatch):
+        # Rows from 5 on, where the central coefficient has at least two
+        # digits: below that a narrower width would be 0, which the block
+        # cut refuses.
+        true_theta = rowgen.theta
+
+        def narrow(n):
+            geometry = true_theta(n)
+            return rowgen.ThetaResult(n, geometry.theta - 1, geometry.block_width - 1)
+
+        rowgen.clear_caches()
+        with monkeypatch.context() as patch:
+            patch.setattr(rowgen, "theta", narrow)
+            report = verify_range(5, 25, residue_samples=10**9, seed=0)
+        rowgen.clear_caches()
+        assert self.digests(report) == {
+            "jsonl": "c3daed2f2366bc4a40e9f5c5d12a3671",
+            "csv": "4e743a63dd14e41830d53a8c46521cac",
+        }
 
 
 class TestLadder:
@@ -417,10 +494,10 @@ class TestVerifyRangeParallel:
         fanned = verify_range_parallel(n_from, n_to, residue_samples=5, seed=7)
         assert _emitted(fanned) == _emitted(serial)
 
-    def test_injected_failure_reaches_the_workers(self, monkeypatch):
-        monkeypatch.setattr(
-            rowgen.Residue, "within_bound", property(lambda self: False)
-        )
+    def test_injected_failure_reaches_the_workers(self, bump_multiplicative):
+        # C(n, n) widened past its block in every row's oracle matrix fails
+        # lemma 1 at r = n + 1; the workers inherit the plant through the fork.
+        bump_multiplicative(-1, wider=True)
         serial = verify_range(5, 40, residue_samples=2, seed=3)
         fanned = verify_range_parallel(5, 40, residue_samples=2, seed=3)
         assert not fanned.passed
@@ -555,19 +632,20 @@ class TestEmitReport:
             assert all(payload["checks"].values())
             assert payload["failures"] == []
 
-    def test_verify_jsonl_line_with_failure_pinned(self, monkeypatch):
-        monkeypatch.setattr(
-            rowgen.Residue, "within_bound", property(lambda self: False)
+    def test_verify_jsonl_line_with_failure_pinned(self, bump_multiplicative):
+        # C(2, 1) + 10 = 12 in the oracle row, wider than the width 1: the
+        # sum of two blocks, 1 + 12 * 10 = 121, breaks the bound; three
+        # blocks, 221, keep it. Five samples draw r = 1, 2 and 3.
+        bump_multiplicative(1, wider=True)
+        report = verify_range(
+            2, 2, checks=["symmetry", "lemma1_bound"], residue_samples=5, seed=0
         )
-        report = verify_range(2, 2, checks=["symmetry", "lemma1_bound"], seed=0)
         buffer = io.StringIO()
         emit_report(report, "jsonl", buffer)
         assert buffer.getvalue() == (
             '{"n": 2, "theta": 0, "checks": {"lemma1_bound": false, "symmetry": true}, '
-            '"failures": [{"check": "lemma1_bound", "n": 2, "r": 1, '
-            '"expected": "at most 1 digits", "actual": "1 digits"}, '
-            '{"check": "lemma1_bound", "n": 2, "r": 3, '
-            '"expected": "at most 3 digits", "actual": "3 digits"}]}\n'
+            '"failures": [{"check": "lemma1_bound", "n": 2, "r": 2, '
+            '"expected": "at most 2 digits", "actual": "3 digits"}]}\n'
         )
 
     def test_bench_jsonl_line_pinned(self):
