@@ -6,9 +6,12 @@ carry enough detail to reproduce the failing case standalone. Its row
 loop builds each row's power with one product from the previous row's
 while the block width holds, steps both oracles' rows from the row
 before as limb matrices, one coefficient per matrix row, and compares,
-mirrors, sums and lays down rows in that form. A range whose last row is
-past the oracles' scalar steps (row.row_index) is refused before any row
-is checked. verify_range_parallel gives the
+mirrors, sums and lays down rows in that form. The row read at x = 1
+and at x = 10 is compared with 2**n and 11**n as CPython ints, so those
+two checks rest on no BigNat product. A row whose block width is 0 has
+no block cut: each check that reads the cut records one failure there.
+A range whose last row is past the oracles' scalar steps (row.row_index)
+is refused before any row is checked. verify_range_parallel gives the
 same report with the range cut into contiguous runs of about equal work,
 one per forked worker process and CPU; each worker runs the same row loop
 over its run.
@@ -37,7 +40,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import bignat, oracle, rowgen
-from .bignat import RADIX_DIGITS, BigNat, _int_at_least, pow10
+from .bignat import BigNat, _int_at_least
 from .row import Method, Row, row_index
 
 #: Fixed benchmark CSV header.
@@ -276,25 +279,24 @@ def _check_rows(
     # Every check but these two reads the multiplicative oracle's row.
     if not set(selected) <= {"symmetry", "row_sum"}:
         multiplicative_matrices = oracle.iter_multiplicative_matrices(first)
-    # The construction's own power, and by width the values (10**width +
-    # 1)**n that the row read at x = 10**width must equal.
-    ladders = {
-        "power": _Ladder(lambda base, n: rowgen.power_integer(n)),
-        0: _Ladder(BigNat.pow),
-        1: _Ladder(BigNat.pow),
-    }
+    ladder = _Ladder()
 
     results = []
     for n in range(first, last + 1):
         facts = _RowFacts(
             n,
-            ladders,
+            ladder,
             next(additive_matrices) if additive_matrices else None,
             next(multiplicative_matrices) if multiplicative_matrices else None,
         )
+        width = facts.geometry.block_width
         found: dict[str, list] = {name: [] for name in selected}
         for name, check in row_checks:
-            found[name] += check(facts)
+            if name in _READ_THE_CUT and width < 1:
+                # The block cut needs a width of at least 1.
+                found[name].append((None, "block width >= 1", f"block width {width}"))
+            else:
+                found[name] += check(facts)
         if block_checks:
             rs = _sample_r_values(n, residue_samples, seed)
             for residue in rowgen.unsettled_residues(
@@ -371,23 +373,24 @@ def _sample_r_values(n: int, residue_samples: int, seed: int) -> list[int]:
 
 
 class _Ladder:
-    """(10**w + 1)**n for the rows of one run, each by one product from the last.
+    """The power (10**w + 1)**n of each row of one run, by one product from the last.
 
-    Row n steps from row n - 1's value when that row was asked for at the
-    same w; any other row starts over with start(10**w + 1, n). Both go
-    through BigNat's counted products.
+    Row n steps from row n - 1's power when that row had the same block
+    width w: times 10**w + 1, Pascal's rule written in digits. Any other
+    row (a run's first, and each where the width changes) starts over with
+    rowgen.power_integer(n). Both go through BigNat's counted products.
     """
 
-    def __init__(self, start):
-        self._start = start
+    def __init__(self):
         self._key = self._base = self._value = None
 
-    def at(self, n: int, w: int) -> BigNat:
+    def at(self, geometry: rowgen.ThetaResult) -> BigNat:
+        n, w = geometry.n, geometry.block_width
         if self._key == (n - 1, w):
             self._value = self._value * self._base
         else:
-            self._base = pow10(w) + BigNat(1)
-            self._value = self._start(self._base, n)
+            self._base = rowgen.eleven_variant(geometry)
+            self._value = rowgen.power_integer(n)
         self._key = (n, w)
         return self._value
 
@@ -395,41 +398,38 @@ class _Ladder:
 class _RowFacts:
     """What the checks read about row n; each fact is built on first use, once.
 
-    The power and the values of the row read at x = 1 and x = 10 come from
-    the run's ladders, so each is one product from the row before while
-    the block width holds. The rows the checks compare are limb matrices,
-    one coefficient per matrix row: the power's block cut, and both
-    oracles' matrices as stepped from the row before. Every oracle-side
-    fact is read off the multiplicative matrix: its rows are compared with
-    the power's and with the residues' leading blocks, and it is laid down
-    once at the block width for the residues and once at width 1 for the
-    row read at x = 10. A BigNat or a string is built from a row only for
-    a failure's detail. The facts live as long as the row. Nothing built
-    for row n outlives it except the ladders' last values, the oracles'
-    last matrices and the one-row caches of rowgen.theta and
+    The power comes from the run's ladder, so it is one product from the
+    row before while the block width holds. The rows the checks compare
+    are limb matrices, one coefficient per matrix row: the power's block
+    cut, and both oracles' matrices as stepped from the row before. Every
+    oracle-side fact is read off the multiplicative matrix: its rows are
+    compared with the power's and with the residues' leading blocks, and
+    it is laid down once at the block width for the residues and once at
+    width 1 for the row read at x = 10. The values the rows read at x = 1
+    and x = 10 must equal, 2**n and 11**n, are CPython ints, built by no
+    BigNat product. A BigNat or a string is built from a row only for a
+    failure's detail. The facts live as long as the row. Nothing built for
+    row n outlives it except the ladder's last power, the oracles' last
+    matrices and the one-row caches of rowgen.theta and
     rowgen.power_integer.
     """
 
     def __init__(
         self,
         n: int,
-        ladders: dict,
+        ladder: _Ladder,
         additive_matrix: np.ndarray | None,
         multiplicative_matrix: np.ndarray | None,
     ):
         self.n = n
         self.geometry = rowgen.theta(n)
-        self._ladders = ladders
+        self._ladder = ladder
         self.additive_matrix = additive_matrix
         self.multiplicative_matrix = multiplicative_matrix
 
     @cached_property
     def power(self) -> BigNat:
-        return self._ladders["power"].at(self.n, self.geometry.block_width)
-
-    def eleven_power(self, width: int) -> BigNat:
-        """(10**width + 1)**n, the row read at x = 10**width."""
-        return self._ladders[width].at(self.n, width)
+        return self._ladder.at(self.geometry)
 
     @cached_property
     def power_matrix(self) -> np.ndarray:
@@ -463,15 +463,6 @@ def _number(matrix: np.ndarray, k: int) -> BigNat:
     return BigNat.from_limb_rows(matrix[k : k + 1])[0]
 
 
-def _digit_count(limbs: np.ndarray) -> int:
-    # Decimal digits of the number with these little-endian limbs; 1 for 0.
-    nonzero = np.flatnonzero(limbs)
-    if not nonzero.size:
-        return 1
-    top = int(nonzero[-1])
-    return RADIX_DIGITS * top + len(str(limbs[top]))
-
-
 # Each check yields (r, expected, actual) per failing case and nothing when
 # it passes; r is None for checks without a block index. Block checks also
 # take the residue of one block count r.
@@ -493,7 +484,7 @@ def _digit_length(facts):
     # coefficient (theta builds it from prime factors, not from this row),
     # and the power must have n * width + 1 digits.
     width = facts.geometry.block_width
-    central = _digit_count(facts.multiplicative_matrix[facts.n // 2])
+    central = _number(facts.multiplicative_matrix, facts.n // 2).digit_count()
     if width != central:
         yield None, f"block width {central}", f"block width {width}"
     expected = facts.n * width + 1
@@ -512,10 +503,9 @@ def _leading_block(facts, residue):
         yield residue.r, *mismatch
         return
     got = residue.leading_block
-    k = residue.r - 1
-    want = facts.multiplicative_matrix[k].tolist()
-    if list(got.limbs) + [0] * (len(want) - len(got.limbs)) != want:
-        yield residue.r, str(_number(facts.multiplicative_matrix, k)), str(got)
+    want = _number(facts.multiplicative_matrix, residue.r - 1)
+    if got != want:
+        yield residue.r, str(want), str(got)
 
 
 def _lemma1_bound(facts, residue):
@@ -535,29 +525,24 @@ def _symmetry(facts):
         yield k, str(_number(coefficients, facts.n - k)), str(_number(coefficients, k))
 
 
-def _evaluation(value, width: int):
-    """Check that value(facts), a row read at x = 10**width, is (x + 1)**n.
-
-    The construction's identity at one point: x = 1 (width 0) is the row
-    sum 2**n, x = 10 (width 1) the weighted sum 11**n.
-    """
-
-    def check(facts):
-        got = value(facts)
-        expected = facts.eleven_power(width)
-        if got != expected:
-            yield None, str(expected), str(got)
-
-    return check
+def _row_sum(facts):
+    # The power row laid down at width 0, its coefficients' sum, is the row
+    # read at x = 1: the construction (x + 1)**n makes it 2**n.
+    got = BigNat.from_block_matrix(facts.power_matrix, 0)
+    yield from _equal_to(got, 2**facts.n)
 
 
-def _power_row_sum(facts):
-    # The power row laid down at width 0: its coefficients' sum.
-    return BigNat.from_block_matrix(facts.power_matrix, 0)
+def _weighted_sum_11(facts):
+    # The oracle row laid down at width 1 is the row read at x = 10: 11**n.
+    got = BigNat.from_block_matrix(facts.multiplicative_matrix, 1)
+    yield from _equal_to(got, 11**facts.n)
 
 
-def _oracle_row_at_ten(facts):
-    return BigNat.from_block_matrix(facts.multiplicative_matrix, 1)
+def _equal_to(got: BigNat, expected: int):
+    # expected is a CPython int, independent of BigNat's products. The text
+    # goes through BigNat: str(int) refuses more than 4300 digits by default.
+    if got.to_int() != expected:
+        yield None, str(BigNat(expected)), str(got)
 
 
 # Every check family in canonical order, name -> (check, per_block): a
@@ -569,9 +554,12 @@ _CHECKS = {
     "leading_block": (_leading_block, True),
     "lemma1_bound": (_lemma1_bound, True),
     "symmetry": (_symmetry, False),
-    "row_sum": (_evaluation(_power_row_sum, 0), False),
-    "weighted_sum_11": (_evaluation(_oracle_row_at_ten, 1), False),
+    "row_sum": (_row_sum, False),
+    "weighted_sum_11": (_weighted_sum_11, False),
 }
+
+# The row checks that read the power's block cut, which a width of 0 has not.
+_READ_THE_CUT = {"row_equality", "symmetry", "row_sum"}
 
 #: Canonical check order, used for report columns and JSON key order.
 CHECK_NAMES = tuple(_CHECKS)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 from collections import Counter
 
 import pytest
@@ -251,6 +252,49 @@ class TestVerifyRange:
             (failing, None, str(expected), str(actual))
         ]
 
+    def test_references_are_independent_of_the_products(self, monkeypatch):
+        # Every BigNat product one too large: each power from row 1 on is
+        # wrong (row 0's is pow's exponent 0, no product), so row_equality
+        # and row_sum fail there. 2**n and 11**n are CPython ints, and the
+        # oracle row read at x = 10 takes no product, so weighted_sum_11
+        # passes on every row.
+        true_product = bignat._product
+        monkeypatch.setattr(
+            bignat, "_product", lambda a, b, sub: true_product(a, b, sub) + BigNat(1)
+        )
+        report = verify_range(0, 40, checks=["row_equality", "row_sum", "weighted_sum_11"])
+        failing = {
+            name: [result.n for result in report.results if not result.checks[name]]
+            for name in report.checks
+        }
+        assert failing == {
+            "row_equality": list(range(1, 41)),
+            "row_sum": list(range(1, 41)),
+            "weighted_sum_11": [],
+        }
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
+    )
+    def test_failure_text_past_the_int_str_limit(self, bump_multiplicative):
+        # 11**4200 has 4374 digits, past the 4300 that str(int) takes by
+        # default. conftest lifts that limit for the suite; it is set back
+        # here, so a failure text built by str(int) would raise.
+        n = 4200
+        expected, actual = str(11**n), str(11**n + 10)
+        bump_multiplicative(1)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ValueError):
+                str(11**n)
+            result = verify_range(n, n, checks=["weighted_sum_11"]).results[0]
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert [(f.check, f.r, f.expected, f.actual) for f in result.failures] == [
+            ("weighted_sum_11", None, expected, actual)
+        ]
+
     def test_block_k_is_coefficient_k(self, monkeypatch):
         # A +1 planted in block 2 of row 6's power (width 2) is C(6, 2) off
         # by one: both oracles name k = 2, and symmetry compares it with
@@ -366,10 +410,9 @@ class TestFailingReportsPinned:
             "csv": "7bf2321600053fad3c9e96afc081995d",
         }
 
-    def test_block_width_one_digit_too_narrow(self, monkeypatch):
-        # Rows from 5 on, where the central coefficient has at least two
-        # digits: below that a narrower width would be 0, which the block
-        # cut refuses.
+    @staticmethod
+    def narrow_report(monkeypatch, n_from, n_to):
+        # The sweep with every block width one digit too narrow.
         true_theta = rowgen.theta
 
         def narrow(n):
@@ -379,11 +422,40 @@ class TestFailingReportsPinned:
         rowgen.clear_caches()
         with monkeypatch.context() as patch:
             patch.setattr(rowgen, "theta", narrow)
-            report = verify_range(5, 25, residue_samples=10**9, seed=0)
+            report = verify_range(n_from, n_to, residue_samples=10**9, seed=0)
         rowgen.clear_caches()
+        return report
+
+    def test_block_width_one_digit_too_narrow(self, monkeypatch):
+        # Rows from 5 on, where the central coefficient has at least two
+        # digits, so the narrower width is still at least 1.
+        report = self.narrow_report(monkeypatch, 5, 25)
         assert self.digests(report) == {
             "jsonl": "c3daed2f2366bc4a40e9f5c5d12a3671",
             "csv": "4e743a63dd14e41830d53a8c46521cac",
+        }
+
+    def test_block_width_narrowed_to_zero(self, monkeypatch):
+        # Rows 2..4 have one-digit central coefficients, so their narrower
+        # width is 0 and there is no block cut: each check that reads it
+        # records one failure naming the width, and the rest run as on
+        # any other row.
+        report = self.narrow_report(monkeypatch, 2, 25)
+        for result in report.results[:3]:
+            assert [
+                (f.check, f.r, f.expected, f.actual)
+                for f in result.failures
+                if f.check in ("row_equality", "symmetry", "row_sum")
+            ] == [
+                (check, None, "block width >= 1", "block width 0")
+                for check in ("row_equality", "symmetry", "row_sum")
+            ]
+            assert result.checks["weighted_sum_11"] is True
+            assert result.checks["digit_length"] is False
+        assert report.results[3:] == self.narrow_report(monkeypatch, 5, 25).results
+        assert self.digests(report) == {
+            "jsonl": "647d26cc1953f96156a1499914560965",
+            "csv": "d0482cd753c3400fe452e4f85c1aec8b",
         }
 
 
@@ -433,10 +505,10 @@ class TestLadder:
 
     def test_pow_and_product_counts(self, monkeypatch):
         # 0..40 has 12 width runs, so 12 powers by pow (power_integer at n =
-        # 0, 5, 9, 13, 16, 20, 23, 26, 30, 33, 37, 40) and 29 steps; the row
-        # sum's 2**n and the weighted sum's 11**n each take one pow (of
-        # exponent 0, no product) and 40 steps. The 11 powers past n = 0
-        # take 60 products between them.
+        # 0, 5, 9, 13, 16, 20, 23, 26, 30, 33, 37, 40) and 29 steps of the
+        # one ladder. The 11 powers past n = 0 take 60 products between
+        # them. The row sum's 2**n and the weighted sum's 11**n are CPython
+        # ints and take none.
         calls = Counter()
 
         def counted(name):
@@ -452,7 +524,7 @@ class TestLadder:
         counted("__mul__")
         rowgen.clear_caches()
         assert verify_range(0, 40, residue_samples=5, seed=0).passed
-        assert calls == {"pow": 12 + 2, "__mul__": 29 + 2 * 40 + 60}
+        assert calls == {"pow": 12, "__mul__": 29 + 60}
 
 
 class TestVerifyRangeParallel:
