@@ -23,8 +23,11 @@ differ, so one comparison tells at which digit offsets their low digits
 stop agreeing.
 
 Column sums become limbs in one place: a single exact carry pass over
-Python-int columns. It finishes the lay-down, addition, the schoolbook
-product and the top-level normalisation of the Karatsuba product.
+Python-int columns, ``_carried``. It finishes addition, the schoolbook
+product and the width-0 lay-down. The int64 columns of the Karatsuba
+product and of every lay-down pass at a width above 0 reach it through
+one exit, ``_column_limbs``: three vectorised carry steps, then the exact
+pass from the first limb still out of range.
 The scalar steps ``mul_small`` and ``divmod_small`` keep their own loops:
 they are the independent steps of the multiplicative oracle.
 Values, limbs, scalars, digit offsets, block widths and counts, and
@@ -77,9 +80,9 @@ a single leaf or a node to within one of ``[0, RADIX)``; then the exact
 carry pass starts at the first limb still outside that range. No product
 of a 0..300 verify sweep has one, but the large squares of ``pow`` at
 n=1810 do, near limb 5,300, which leaves the exact pass two thirds of
-the limbs of that power's products (figures at
-``_mul_subquadratic_limbs``). That pass is linear, so long runs of
-``9999999`` limbs cost one sweep, not one numpy pass per limb of ripple.
+the limbs of that power's products (figures at ``_column_limbs``). That
+pass is linear, so long runs of ``9999999`` limbs cost one sweep, not one
+numpy pass per limb of ripple.
 """
 
 from __future__ import annotations
@@ -316,7 +319,8 @@ class BigNat:
         if matrix.min() < 0 or matrix.max() >= RADIX:
             raise ValueError(f"limb rows must lie in [0, {RADIX})")
         if width == 0:
-            # A column sum of R rows is below R * RADIX, far inside int64.
+            # A column sum of R rows is below R * RADIX, so the exact pass
+            # alone is cheaper here than the carry steps of _column_limbs.
             return cls._raw(_carried(matrix.sum(axis=0, dtype=np.int64).tolist()))
         rows, limbs = matrix.shape
         whole, part = np.divmod(np.arange(rows, dtype=np.int64) * width, RADIX_DIGITS)
@@ -333,17 +337,7 @@ class BigNat:
             stop = start + _LAY_DOWN_ROWS
             columns = np.zeros(int(whole[-1]) + limbs + 1, np.int64)
             np.add.at(columns, positions[start:stop], scaled[start:stop])
-            # Three carry steps bring non-negative int64 columns within one
-            # of [0, RADIX), as at the top of the Karatsuba product; the
-            # exact pass starts at the first limb still outside it.
-            for _ in range(3):
-                columns = _carry(columns)
-            stray = np.flatnonzero(columns >= RADIX)
-            parts.append(
-                cls._raw(
-                    _carried(columns.tolist(), int(stray[0]) if stray.size else len(columns))
-                )
-            )
+            parts.append(cls._raw(_column_limbs(columns)))
         return functools.reduce(operator.add, parts)
 
     @classmethod
@@ -632,28 +626,41 @@ def _mul_quadratic_limbs(a: tuple, b: tuple) -> tuple:
     return _carried(acc)
 
 
-def _mul_subquadratic_limbs(a: tuple, b: tuple) -> tuple:
-    # Karatsuba, then canonical limbs from the lazily carried columns. A
-    # product that is a single leaf arrives as raw columns below 5.2e16,
-    # one that is a node as limbs in [-2.6e10, RADIX + 2.6e10]; three carry
-    # steps bring either within one of [0, RADIX), and the exact pass runs
-    # from the first limb still outside that range. It gets 0 of 1,090,875
-    # limbs on a serial 0..300 sweep, 1,814 of 33,753 in pow at n=600 and
-    # 242,283 of 360,520 at n=1810, where the squares from 17,571 limbs up
-    # each stray near limb 5,300. One exact pass from limb 0 instead of the
-    # carry steps and the scan was slower on both of the first two.
-    # The operand arrays are dropped before the columns become a list, and
-    # the columns before the list becomes a tuple: those copies are the
-    # memory peak of a product.
-    x = np.array(a, dtype=np.int64)
-    columns = _kara(x, x if a is b else np.array(b, dtype=np.int64))
-    del x
+def _column_limbs(columns: np.ndarray) -> tuple:
+    # The one exit from int64 columns to canonical limbs; the columns' total
+    # must be non-negative. A Karatsuba product's columns arrive as a single
+    # leaf's raw sums below 5.2e16 or as a node's limbs in
+    # [-2.6e10, RADIX + 2.6e10], a lay-down pass's in [0, 2**63). Three
+    # carry steps bring any of them within one of [0, RADIX), and the exact
+    # pass runs from the first limb still outside that range. In products
+    # that is 0 of 1,090,875 limbs on a serial 0..300 sweep, 1,814 of 33,753
+    # in pow at n=600 and 242,283 of 360,520 at n=1810, where the squares
+    # from 17,571 limbs up each stray near limb 5,300. One exact pass from
+    # limb 0 instead of the carry steps and the scan was slower on both of
+    # the first two. The array is dropped before the list becomes a tuple,
+    # and a product's operand arrays are gone before it comes here: those
+    # copies are the memory peak of a product.
     for _ in range(3):
         columns = _carry(columns)
-    limbs = columns.tolist()
     stray = np.flatnonzero((columns < 0) | (columns >= RADIX))
+    limbs = columns.tolist()
     del columns
     return _carried(limbs, int(stray[0]) if stray.size else len(limbs))
+
+
+def _mul_subquadratic_limbs(a: tuple, b: tuple) -> tuple:
+    # Karatsuba, then canonical limbs from the lazily carried columns. The
+    # operand arrays are held only as _kara's arguments and the columns only
+    # as _column_limbs's, which frees them at its first carry step (CPython
+    # 3.11 on hands a call its arguments); a local holding either would add
+    # a copy to a product's memory peak.
+    return _column_limbs(_kara(*_int64_operands(a, b)))
+
+
+def _int64_operands(a: tuple, b: tuple) -> tuple:
+    # One array for both factors of a square, so _kara sees a is b.
+    x = np.array(a, dtype=np.int64)
+    return x, x if a is b else np.array(b, dtype=np.int64)
 
 
 def _kara(a: np.ndarray, b: np.ndarray) -> np.ndarray:

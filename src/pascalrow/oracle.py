@@ -47,15 +47,14 @@ def row_multiplicative(n: int) -> Row:
     )
 
 
-def iter_recurrence_rows(start: int = 0, step: int = 1) -> Iterator[Row]:
-    """Yield rows start, start + step, start + 2*step, ... by the additive rule.
+def iter_recurrence_rows(start: int = 0) -> Iterator[Row]:
+    """Yield rows start, start + 1, start + 2, ... by the additive rule.
 
-    The rows of iter_recurrence_matrices(start, step), each turned into
-    BigNat coefficients only when it is yielded, so rows before `start`
-    and between yields are never converted. Sweeps over many rows should
-    consume this iterator rather than call row_recurrence per index, which
-    restarts from the apex. The arguments are checked at the call, before
-    the first row is asked for.
+    The rows of iter_recurrence_matrices(start), each turned into BigNat
+    coefficients only when it is yielded, so rows before `start` are never
+    converted. Sweeps over many rows should consume this iterator rather
+    than call row_recurrence per index, which restarts from the apex.
+    `start` is checked at the call, before the first row is asked for.
     """
     return (
         Row(
@@ -63,31 +62,29 @@ def iter_recurrence_rows(start: int = 0, step: int = 1) -> Iterator[Row]:
             coefficients=tuple(BigNat.from_limb_rows(matrix)),
             method=Method.RECURRENCE,
         )
-        for matrix in iter_recurrence_matrices(start, step)
+        for matrix in iter_recurrence_matrices(start)
     )
 
 
-def iter_recurrence_matrices(start: int = 0, step: int = 1) -> Iterator[np.ndarray]:
-    """Yield rows start, start + step, ... by the additive rule, as limb matrices.
+def iter_recurrence_matrices(start: int = 0) -> Iterator[np.ndarray]:
+    """Yield rows start, start + 1, ... by the additive rule, as limb matrices.
 
     Row n is an (n+1) x L int64 matrix, one coefficient per matrix row as
     little-endian base-RADIX limbs, L the central coefficient's limb
     count. Every row from the apex on is stepped (see _next_limb_matrix)
-    with additions and carries only. The arguments are checked at the
-    call, before the first row is asked for.
+    with additions and carries only. `start` is checked at the call,
+    before the first row is asked for.
     """
-    start = _int_at_least(start, 0, "row index")
-    return _recurrence_matrices(start, _int_at_least(step, 1, "step"))
+    return _recurrence_matrices(_int_at_least(start, 0, "row index"))
 
 
-def _recurrence_matrices(start: int, step: int) -> Iterator[np.ndarray]:
+def _recurrence_matrices(start: int) -> Iterator[np.ndarray]:
     matrix = np.ones((1, 1), dtype=np.int64)
     for _ in range(start):
         matrix = _next_limb_matrix(matrix)
     while True:
         yield matrix
-        for _ in range(step):
-            matrix = _next_limb_matrix(matrix)
+        matrix = _next_limb_matrix(matrix)
 
 
 def iter_multiplicative_matrices(start: int = 0) -> Iterator[np.ndarray]:

@@ -4,6 +4,7 @@ string_add below is the independent oracle for addition: plain digit-wise
 schoolbook on decimal strings, sharing nothing with the limb code.
 """
 
+import decimal
 import random
 import tracemalloc
 from math import comb
@@ -39,6 +40,16 @@ def limbs_to_int(limbs) -> int:
         return value
     half = len(limbs) // 2
     return limbs_to_int(limbs[half:]) * bignat.RADIX**half + limbs_to_int(limbs[:half])
+
+
+def exact_decimal_context() -> decimal.Context:
+    # libmpdec with room for any integer and a trap on any rounding, so a
+    # reference product is exact or raises.
+    context = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+    )
+    context.traps[decimal.Inexact] = context.traps[decimal.Rounded] = True
+    return context
 
 
 naturals = st.integers(min_value=0, max_value=10**300)
@@ -290,6 +301,27 @@ class TestMultiplication:
         expected = [1] + [0] * (length - 1) + [radix - 2] + [radix - 1] * (length - 1)
         assert list(square.limbs) == expected
 
+    @pytest.mark.skipif(
+        not hasattr(decimal, "__libmpdec_version__"),
+        reason="decimal is the pure-Python fallback, far too slow at 458,752 digits",
+    )
+    @pytest.mark.parametrize("square", [False, True])
+    def test_subquadratic_against_libmpdec(self, square):
+        # Two random 65,536-limb operands, read from digit strings by
+        # BigNat and by libmpdec, which multiplies by number-theoretic
+        # transforms and shares no code with BigNat or CPython int.
+        rng = random.Random(65536)
+
+        def digits():
+            return rng.choice("123456789") + "".join(rng.choices("0123456789", k=458_751))
+
+        a = digits()
+        b = a if square else digits()
+        x = BigNat.from_decimal(a)
+        product = mul_subquadratic(x, x if square else BigNat.from_decimal(b))
+        expected = exact_decimal_context().multiply(decimal.Decimal(a), decimal.Decimal(b))
+        assert product.to_decimal() == format(expected, "f")
+
     def test_counter_counts_products(self):
         bignat.reset_mul_counter()
         BigNat(3) * BigNat(4)
@@ -415,7 +447,7 @@ class TestLowHighDigits:
             getattr(BigNat(1), method)(-1)
 
 
-class TestFromBlockPrefixes:
+class TestLayDownOfLeadingRows:
     # The sum of a limb matrix's first c rows is the lay-down of the
     # matrix[:c] slice: the residues of a row with a wider coefficient
     # take each truncated sum so.
@@ -651,7 +683,7 @@ class TestToLimbRows:
         assert BigNat.to_limb_rows([BigNat(0)] * 3).shape == (3, 0)
 
 
-class TestFromColumnSums:
+class TestLayDownAtWidthZero:
     # At width 0 the lay-down is the sum of the rows, taken from the
     # matrix's column sums.
 

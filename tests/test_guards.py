@@ -27,7 +27,6 @@ TOO_LARGE = "row index 10000000 too large for scalar recurrence steps"
         (lambda: BigNat(5).low_digits(-1), "split point must be >= 0, got -1"),
         (lambda: BigNat(5).high_digits(np.int64(-2)), "split point must be >= 0, got -2"),
         (lambda: next(oracle.iter_recurrence_rows(-1)), "row index must be >= 0, got -1"),
-        (lambda: next(oracle.iter_recurrence_rows(0, 0)), "step must be >= 1, got 0"),
         (lambda: oracle.iter_multiplicative_matrices(-1), "row index must be >= 0, got -1"),
         (lambda: oracle.iter_multiplicative_matrices(RADIX), TOO_LARGE),
         (lambda: oracle.row_multiplicative(-1), "row index must be >= 0, got -1"),
@@ -55,7 +54,7 @@ TOO_LARGE = "row index 10000000 too large for scalar recurrence steps"
     ids=[
         "to_blocks-width", "to_blocks-count", "from_block_matrix-width", "pow",
         "pow10", "low_digits", "high_digits", "iter_recurrence_rows-start",
-        "iter_recurrence_rows-step", "iter_multiplicative_matrices-negative",
+        "iter_multiplicative_matrices-negative",
         "iter_multiplicative_matrices-too-large", "row_multiplicative-negative",
         "row_multiplicative-too-large", "central_digit_count-negative",
         "central_digit_count-too-large", "binomial-too-large", "theta-negative",

@@ -419,11 +419,10 @@ def test_clear_caches_leaves_results_unchanged():
             BigNat(1331), next(oracle.iter_multiplicative_matrices(3)), [9]
         ),
         lambda: oracle.iter_recurrence_rows(-1),
-        lambda: oracle.iter_recurrence_rows(0, 0),
         lambda: oracle.iter_multiplicative_matrices(-1),
     ],
     ids=[
-        "r-beyond-row", "negative-start", "zero-step", "negative-multiplicative-start",
+        "r-beyond-row", "negative-start", "negative-multiplicative-start",
     ],
 )  # fmt: skip
 def test_lazy_sums_check_their_arguments_at_the_call(call):
@@ -439,7 +438,7 @@ def test_lazy_sums_check_their_arguments_at_the_call(call):
         (lambda: rowgen.row_via_power(np.int64(6)).n, 6),
         (lambda: rowgen.theta(np.int64(7)).n, 7),
         (lambda: oracle.row_recurrence(np.int64(3)).n, 3),
-        (lambda: next(oracle.iter_recurrence_rows(np.int64(2), np.int64(3))).n, 2),
+        (lambda: next(oracle.iter_recurrence_rows(np.int64(2))).n, 2),
         (lambda: oracle.row_multiplicative(True).n, 1),
         (lambda: BigNat(np.int64(5)).to_int(), 5),
         (lambda: verify_range(np.int64(2), np.int64(3)).n_to, 3),
